@@ -210,8 +210,11 @@ main(int argc, char** argv)
             fatal("bench_chaos_load: pipeline send failed");
     }
     const std::uint64_t expect_forwarded = 2 * templates.size();
+    auto router_cell = [&router](const char* name) {
+        return router.statsRegistry()->snapshot().counter(name);
+    };
     if (!eventually(5000.0, [&] {
-            return router.stats().forwarded >= expect_forwarded;
+            return router_cell("router.forwarded") >= expect_forwarded;
         }))
         fatal("bench_chaos_load: batch never fully forwarded");
     shard0.stop();
@@ -225,7 +228,8 @@ main(int argc, char** argv)
         if (line.value() != expectedLine(t, strCat("k", t)))
             ++mismatches;
     }
-    const std::uint64_t retried_after_kill = router.stats().retried;
+    const std::uint64_t retried_after_kill =
+        router_cell("router.retried");
     std::cout << "killed shard-0 with " << doomed
               << " requests in flight; retried="
               << retried_after_kill << ", mismatches so far "
@@ -248,8 +252,9 @@ main(int argc, char** argv)
         fatal("bench_chaos_load: " + fresh_up.error().message);
     proxy.setTarget("127.0.0.1", shard0b.port());
     if (!eventually(10000.0, [&] {
-            const RouterStats s = router.stats();
-            return s.healed == 1 && s.shardsAlive == 3;
+            const StatsSnapshot s = router.statsRegistry()->snapshot();
+            return s.counter("router.healed") == 1 &&
+                   s.find("router.shards_alive")->value == 3.0;
         }))
         fatal("bench_chaos_load: shard-0 never healed");
     sweep("h");
@@ -262,7 +267,11 @@ main(int argc, char** argv)
               << "; mismatches so far " << mismatches << '\n';
 
     const double wall_ms = bench::nowMs() - start_ms;
-    const RouterStats router_stats = router.stats();
+    const StatsSnapshot router_stats = router.statsRegistry()->snapshot();
+    const std::uint64_t unavailable =
+        router_stats.counter("router.shard_failures");
+    const std::uint64_t retried = router_stats.counter("router.retried");
+    const std::uint64_t healed = router_stats.counter("router.healed");
 
     router.stop();
     proxy.stop();
@@ -278,9 +287,8 @@ main(int argc, char** argv)
               << " ms = " << requests_per_sec
               << " req/s across kill + heal\n"
               << "byte mismatches: " << mismatches
-              << ", unavailable: " << router_stats.shardFailures
-              << ", retried: " << router_stats.retried
-              << ", healed: " << router_stats.healed
+              << ", unavailable: " << unavailable
+              << ", retried: " << retried << ", healed: " << healed
               << ", rejoin compiled: " << rejoin_compiled << '\n';
     bench::note("gate: zero wrong answers, zero Unavailable, retried "
                 "== doomed exactly, one heal, rejoiner compiles 0");
@@ -299,13 +307,13 @@ main(int argc, char** argv)
         << "  \"byte_mismatches\": " << mismatches << ",\n"
         << "  \"doomed\": " << doomed << ",\n"
         << "  \"router_stats\": {\n"
-        << "    \"retried\": " << router_stats.retried << ",\n"
-        << "    \"unavailable\": " << router_stats.shardFailures
-        << ",\n"
-        << "    \"deadline_expired\": " << router_stats.deadlineExpired
-        << ",\n"
-        << "    \"healed\": " << router_stats.healed << ",\n"
-        << "    \"respawned\": " << router_stats.respawned << "\n"
+        << "    \"retried\": " << retried << ",\n"
+        << "    \"unavailable\": " << unavailable << ",\n"
+        << "    \"deadline_expired\": "
+        << router_stats.counter("router.deadline_expired") << ",\n"
+        << "    \"healed\": " << healed << ",\n"
+        << "    \"respawned\": " << router_stats.counter("router.respawned")
+        << "\n"
         << "  },\n"
         << "  \"rejoin\": {\n"
         << "    \"plans_loaded\": " << rejoin_loaded << ",\n"
@@ -320,21 +328,21 @@ main(int argc, char** argv)
                      "PlanService\n";
         return 1;
     }
-    if (router_stats.shardFailures != 0) {
-        std::cerr << "bench_chaos_load: " << router_stats.shardFailures
+    if (unavailable != 0) {
+        std::cerr << "bench_chaos_load: " << unavailable
                   << " requests answered Unavailable (the retry "
                      "budget must absorb one kill)\n";
         return 1;
     }
-    if (router_stats.retried != doomed) {
-        std::cerr << "bench_chaos_load: retried "
-                  << router_stats.retried << ", expected exactly "
+    if (retried != doomed) {
+        std::cerr << "bench_chaos_load: retried " << retried
+                  << ", expected exactly "
                   << doomed << '\n';
         return 1;
     }
-    if (router_stats.healed != 1) {
-        std::cerr << "bench_chaos_load: healed "
-                  << router_stats.healed << " times, expected 1\n";
+    if (healed != 1) {
+        std::cerr << "bench_chaos_load: healed " << healed
+                  << " times, expected 1\n";
         return 1;
     }
     if (rejoin_compiled != 0) {

@@ -97,9 +97,11 @@ main(int argc, char** argv)
     std::vector<PlanResponse> template_answers;
     for (const PlanRequest& request : templates)
         template_answers.push_back(reference.ask(request));
-    if (reference.stats().stepsSimulated != kDistinctStepConfigs)
+    const std::uint64_t reference_steps =
+        reference.statsRegistry()->snapshot().counter("serve.steps_simulated");
+    if (reference_steps != kDistinctStepConfigs)
         fatal(strCat("bench_fleet_load: reference simulated ",
-                     reference.stats().stepsSimulated,
+                     reference_steps,
                      " steps, expected ", kDistinctStepConfigs));
     auto expectedLine = [&](std::size_t template_index,
                             const std::string& id) {
@@ -187,15 +189,17 @@ main(int argc, char** argv)
         failed_connections += conn_failed[c] ? 1 : 0;
     }
 
-    const ServiceStats stats0 = shard0.service().stats();
-    const ServiceStats stats1 = shard1.service().stats();
-    const std::uint64_t fleet_steps =
-        stats0.stepsSimulated + stats1.stepsSimulated;
-    const std::uint64_t fleet_executed =
-        stats0.executed + stats1.executed;
-    const std::uint64_t fleet_coalesced =
-        stats0.coalesced + stats1.coalesced;
-    const RouterStats router_stats = router.stats();
+    const StatsSnapshot stats0 = shard0.statsRegistry()->snapshot();
+    const StatsSnapshot stats1 = shard1.statsRegistry()->snapshot();
+    auto fleet_sum = [&](const char* cell) {
+        return stats0.counter(cell) + stats1.counter(cell);
+    };
+    const std::uint64_t fleet_steps = fleet_sum("serve.steps_simulated");
+    const std::uint64_t fleet_executed = fleet_sum("serve.executed");
+    const std::uint64_t fleet_coalesced = fleet_sum("serve.coalesced");
+    const StatsSnapshot router_stats = router.statsRegistry()->snapshot();
+    const std::uint64_t shard_failures =
+        router_stats.counter("router.shard_failures");
 
     // ---- Warm start: a fresh shard from the busy shards' plans. -----
     // Union of both snapshots covers every model shape in the trace,
@@ -262,12 +266,15 @@ main(int argc, char** argv)
               << " (distinct step configs " << kDistinctStepConfigs
               << "), executed=" << fleet_executed
               << ", coalesced=" << fleet_coalesced << '\n'
-              << "router: forwarded=" << router_stats.forwarded
-              << " responses=" << router_stats.responses
-              << " shard failures=" << router_stats.shardFailures
+              << "router: forwarded="
+              << router_stats.counter("router.forwarded")
+              << " responses=" << router_stats.counter("router.responses")
+              << " shard failures=" << shard_failures
               << "; per-shard routed:";
-    for (const ShardHealth& shard : router_stats.shards)
-        std::cout << ' ' << shard.name << '=' << shard.routed;
+    for (const ShardEndpoint& shard : router_config.shards)
+        std::cout << ' ' << shard.name << '='
+                  << router_stats.counter(
+                         strCat("router.shard.", shard.name, ".routed"));
     std::cout << '\n'
               << "byte mismatches vs in-process: " << mismatches
               << " (warm replay: " << warm_mismatches
@@ -299,12 +306,13 @@ main(int argc, char** argv)
         << "    \"coalesced\": " << fleet_coalesced << "\n"
         << "  },\n"
         << "  \"router_stats\": {\n"
-        << "    \"forwarded\": " << router_stats.forwarded << ",\n"
-        << "    \"responses\": " << router_stats.responses << ",\n"
-        << "    \"shard_failures\": " << router_stats.shardFailures
+        << "    \"forwarded\": " << router_stats.counter("router.forwarded")
         << ",\n"
-        << "    \"protocol_errors\": " << router_stats.protocolErrors
-        << "\n"
+        << "    \"responses\": " << router_stats.counter("router.responses")
+        << ",\n"
+        << "    \"shard_failures\": " << shard_failures << ",\n"
+        << "    \"protocol_errors\": "
+        << router_stats.counter("router.protocol_errors") << "\n"
         << "  },\n"
         << "  \"warm_start\": {\n"
         << "    \"plans_loaded\": " << warm_loaded << ",\n"
@@ -339,8 +347,8 @@ main(int argc, char** argv)
                   << warm_compiled << " plans, expected 0\n";
         return 1;
     }
-    if (router_stats.shardFailures != 0) {
-        std::cerr << "bench_fleet_load: " << router_stats.shardFailures
+    if (shard_failures != 0) {
+        std::cerr << "bench_fleet_load: " << shard_failures
                   << " unexpected shard failures\n";
         return 1;
     }

@@ -7,7 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/pipeline.hpp"
+#include "core/planner.hpp"
 #include "gpusim/finetune_sim.hpp"
 #include "gpusim/memory_model.hpp"
 
@@ -54,10 +54,15 @@ BENCHMARK(BM_MaxBatchSize);
 void
 BM_ThroughputFit(benchmark::State& state)
 {
+    const Scenario scenario = Scenario{}
+                                  .withModel(ModelSpec::blackMamba2p8b())
+                                  .withMedianSeqLen(79)
+                                  .withLengthSigma(0.45);
+    // A fresh planner per iteration: time the cold fit, not its cache.
     for (auto _ : state) {
-        ThroughputFit fit = ExperimentPipeline::fitThroughput(
-            ModelSpec::blackMamba2p8b(), GpuSpec::a40(), 79, {}, 0.45);
-        benchmark::DoNotOptimize(fit.rmse);
+        Planner planner(scenario, CloudCatalog());
+        benchmark::DoNotOptimize(
+            planner.fitThroughput(GpuSpec::a40()).value().rmse);
     }
 }
 BENCHMARK(BM_ThroughputFit);
@@ -66,10 +71,9 @@ void
 BM_CostTable(benchmark::State& state)
 {
     for (auto _ : state) {
-        auto rows = ExperimentPipeline::costTable(
-            ModelSpec::mixtral8x7b(), GpuSpec::paperGpus(),
-            CloudCatalog::cudoCompute(), 148, true, 14000.0, 10.0);
-        benchmark::DoNotOptimize(rows.size());
+        Planner planner(Scenario::gsMath());
+        benchmark::DoNotOptimize(
+            planner.costTable(GpuSpec::paperGpus()).value().size());
     }
 }
 BENCHMARK(BM_CostTable);

@@ -92,7 +92,7 @@ main(int argc, char** argv)
     for (const PlanRequest& request : templates)
         template_answers.push_back(reference.ask(request));
     const std::uint64_t reference_steps =
-        reference.stats().stepsSimulated;
+        reference.statsRegistry()->snapshot().counter("serve.steps_simulated");
     if (reference_steps != kDistinctStepConfigs)
         fatal(strCat("bench_net_load: reference service simulated ",
                      reference_steps, " steps, expected ",
@@ -166,8 +166,13 @@ main(int argc, char** argv)
         failed_connections += conn_failed[c] ? 1 : 0;
     }
 
-    const ServiceStats stats = server.service().stats();
-    const NetServerStats net = server.stats();
+    // One shard-wide snapshot: the service's serve.* cells and the
+    // front end's net.* cells share the server's registry.
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    const std::uint64_t steps_simulated =
+        stats.counter("serve.steps_simulated");
+    const double p50_latency_ms = stats.find("serve.latency_ms.p50")->value;
+    const double p99_latency_ms = stats.find("serve.latency_ms.p99")->value;
     server.stop();
 
     const std::size_t total_requests = kConnections * kPerConnection;
@@ -177,14 +182,16 @@ main(int argc, char** argv)
     bench::section("Results");
     std::cout << total_requests << " requests over " << wall_ms
               << " ms = " << requests_per_sec << " req/s\n"
-              << "steps_simulated=" << stats.stepsSimulated
+              << "steps_simulated=" << steps_simulated
               << " (distinct step configs " << kDistinctStepConfigs
-              << "), coalesced=" << stats.coalesced
-              << ", executed=" << stats.executed << '\n'
-              << "latency p50=" << stats.p50LatencyMs
-              << "ms p99=" << stats.p99LatencyMs << "ms; "
-              << net.connectionsAccepted << " connections accepted, "
-              << net.protocolErrors << " protocol errors\n"
+              << "), coalesced=" << stats.counter("serve.coalesced")
+              << ", executed=" << stats.counter("serve.executed") << '\n'
+              << "latency p50=" << p50_latency_ms << "ms p99="
+              << p99_latency_ms << "ms; "
+              << stats.counter("net.conn.accepted")
+              << " connections accepted, "
+              << stats.counter("net.protocol_errors")
+              << " protocol errors\n"
               << "byte mismatches vs in-process: " << mismatches
               << ", failed connections: " << failed_connections << '\n';
     bench::note("gate: answers byte-identical to PlanService and "
@@ -206,18 +213,20 @@ main(int argc, char** argv)
         << "  \"byte_mismatches\": " << mismatches << ",\n"
         << "  \"failed_connections\": " << failed_connections << ",\n"
         << "  \"service_stats\": {\n"
-        << "    \"requests\": " << stats.requests << ",\n"
-        << "    \"coalesced\": " << stats.coalesced << ",\n"
-        << "    \"executed\": " << stats.executed << ",\n"
-        << "    \"steps_simulated\": " << stats.stepsSimulated << ",\n"
-        << "    \"p50_latency_ms\": " << stats.p50LatencyMs << ",\n"
-        << "    \"p99_latency_ms\": " << stats.p99LatencyMs << "\n"
+        << "    \"requests\": " << stats.counter("serve.requests") << ",\n"
+        << "    \"coalesced\": " << stats.counter("serve.coalesced")
+        << ",\n"
+        << "    \"executed\": " << stats.counter("serve.executed") << ",\n"
+        << "    \"steps_simulated\": " << steps_simulated << ",\n"
+        << "    \"p50_latency_ms\": " << p50_latency_ms << ",\n"
+        << "    \"p99_latency_ms\": " << p99_latency_ms << "\n"
         << "  },\n"
         << "  \"net_stats\": {\n"
-        << "    \"connections_accepted\": " << net.connectionsAccepted
-        << ",\n"
-        << "    \"responses\": " << net.responses << ",\n"
-        << "    \"protocol_errors\": " << net.protocolErrors << "\n"
+        << "    \"connections_accepted\": "
+        << stats.counter("net.conn.accepted") << ",\n"
+        << "    \"responses\": " << stats.counter("net.responses") << ",\n"
+        << "    \"protocol_errors\": "
+        << stats.counter("net.protocol_errors") << "\n"
         << "  }\n"
         << "}\n";
     bench::note("wrote " + out_path);
@@ -232,9 +241,9 @@ main(int argc, char** argv)
                      "in-process PlanService\n";
         return 1;
     }
-    if (stats.stepsSimulated != kDistinctStepConfigs) {
+    if (steps_simulated != kDistinctStepConfigs) {
         std::cerr << "bench_net_load: fleet simulated "
-                  << stats.stepsSimulated << " steps, expected "
+                  << steps_simulated << " steps, expected "
                   << kDistinctStepConfigs
                   << " (thundering-herd guarantee broken)\n";
         return 1;

@@ -100,14 +100,6 @@ main(int argc, char** argv)
             planner.throughputObservations(gpu);
     });
 
-    // --- Compiled-plan path, parallel, cache cold. --------------------
-    const double cold_sweep_parallel_ms = bestOfMs(3, 20, [&] {
-        Planner planner(scenario);
-        planner.setParallelism(threads);
-        for (const GpuSpec& gpu : gpus)
-            planner.throughputObservations(gpu);
-    });
-
     // --- Warm sweep: planner cache populated. -------------------------
     Planner warm(scenario);
     warm.setParallelism(threads);
@@ -137,10 +129,6 @@ main(int argc, char** argv)
         cold_sweep_serial_ms > 0.0
             ? reference_sweep_ms / cold_sweep_serial_ms
             : 0.0;
-    const double cold_parallel_speedup =
-        cold_sweep_parallel_ms > 0.0
-            ? reference_sweep_ms / cold_sweep_parallel_ms
-            : 0.0;
 
     bench::section("Full-catalog throughput sweep (" +
                    std::to_string(sweep_points) + " configs, " +
@@ -150,9 +138,6 @@ main(int argc, char** argv)
               << "cold, compiled plans, serial:         "
               << cold_sweep_serial_ms << " ms  (" << cold_serial_speedup
               << "x)\n"
-              << "cold, compiled plans, " << threads << " threads:"
-              << "      " << cold_sweep_parallel_ms << " ms  ("
-              << cold_parallel_speedup << "x)\n"
               << "warm (memoized):                      " << warm_sweep_ms
               << " ms  (" << warm_speedup << "x)\n";
     bench::note("cold ratios isolate the compiled-plan rewrite; the "
@@ -178,8 +163,6 @@ main(int argc, char** argv)
         << "  \"timings_ms\": {\n"
         << "    \"reference_sweep\": " << reference_sweep_ms << ",\n"
         << "    \"cold_sweep_serial\": " << cold_sweep_serial_ms << ",\n"
-        << "    \"cold_sweep_parallel\": " << cold_sweep_parallel_ms
-        << ",\n"
         << "    \"warm_sweep\": " << warm_sweep_ms << ",\n"
         << "    \"cold_cost_table\": " << cold_cost_table_ms << ",\n"
         << "    \"warm_cost_table\": " << warm_cost_table_ms << ",\n"
@@ -188,9 +171,7 @@ main(int argc, char** argv)
         << "  },\n"
         << "  \"speedups_vs_reference\": {\n"
         << "    \"warm_sweep\": " << warm_speedup << ",\n"
-        << "    \"cold_sweep_serial\": " << cold_serial_speedup << ",\n"
-        << "    \"cold_sweep_parallel\": " << cold_parallel_speedup
-        << "\n"
+        << "    \"cold_sweep_serial\": " << cold_serial_speedup << "\n"
         << "  },\n"
         << "  \"planner_stats\": {\n"
         << "    \"step_cache_hits\": " << stats.stepCacheHits << ",\n"

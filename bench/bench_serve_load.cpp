@@ -233,7 +233,9 @@ main(int argc, char** argv)
         if (!sameAnswer(serial_answers[i], coalesced_answers[i]))
             ++mismatches;
 
-    const ServiceStats stats = service.stats();
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    const double p50_latency_ms = stats.find("serve.latency_ms.p50")->value;
+    const double p99_latency_ms = stats.find("serve.latency_ms.p99")->value;
     const double speedup =
         coalesced_ms > 0.0 ? serial_ms / coalesced_ms : 0.0;
 
@@ -278,15 +280,24 @@ main(int argc, char** argv)
         if (!sameAnswer(bounded_answers[i], unbounded.ask(pressure[i])))
             ++eviction_mismatches;
 
-    const ServiceStats bounded_stats = bounded.stats();
-    const bool capacity_respected =
-        bounded_stats.answersCachedPeak <= kMaxAnswers &&
-        bounded_stats.answersCached <= kMaxAnswers &&
-        bounded_stats.plannersCached <= kMaxPlanners;
+    const StatsSnapshot bounded_stats = bounded.statsRegistry()->snapshot();
+    const std::uint64_t answers_cached =
+        bounded_stats.counter("serve.answers.cached");
+    const std::uint64_t answers_peak =
+        bounded_stats.counter("serve.answers.peak");
+    const std::uint64_t answers_evicted =
+        bounded_stats.counter("serve.answers.evicted");
+    const std::uint64_t planners_cached =
+        bounded_stats.counter("serve.planners.cached");
+    const std::uint64_t planners_evicted =
+        bounded_stats.counter("serve.planners.evicted");
+    const bool capacity_respected = answers_peak <= kMaxAnswers &&
+                                    answers_cached <= kMaxAnswers &&
+                                    planners_cached <= kMaxPlanners;
     // 128 requests over 64 distinct questions with 16 slots must
     // churn: if nothing was evicted the bound is not actually applied.
-    const bool eviction_exercised = bounded_stats.answersEvicted > 0 &&
-                                    bounded_stats.plannersEvicted > 0;
+    const bool eviction_exercised =
+        answers_evicted > 0 && planners_evicted > 0;
 
     bench::section("Results");
     std::cout << "serial (fresh planner per request): " << serial_ms
@@ -294,14 +305,17 @@ main(int argc, char** argv)
               << "coalesced PlanService (" << service.workers()
               << " workers):      " << coalesced_ms << " ms  ("
               << speedup << "x)\n"
-              << "coalesced=" << stats.coalesced << "/" << stats.requests
-              << " requests, executed=" << stats.executed
-              << ", planners=" << stats.plannersCreated
-              << " (reused " << stats.plannerReuses << "x)"
-              << ", plans_compiled=" << stats.plansCompiled
-              << ", steps_simulated=" << stats.stepsSimulated << '\n'
-              << "latency p50=" << stats.p50LatencyMs
-              << "ms p99=" << stats.p99LatencyMs << "ms\n"
+              << "coalesced=" << stats.counter("serve.coalesced") << "/"
+              << stats.counter("serve.requests")
+              << " requests, executed=" << stats.counter("serve.executed")
+              << ", planners=" << stats.counter("serve.planners.created")
+              << " (reused " << stats.counter("serve.planners.reuses")
+              << "x)"
+              << ", plans_compiled=" << stats.counter("serve.plans.compiled")
+              << ", steps_simulated="
+              << stats.counter("serve.steps_simulated") << '\n'
+              << "latency p50=" << p50_latency_ms << "ms p99="
+              << p99_latency_ms << "ms\n"
               << "answer mismatches: " << mismatches << '\n';
     bench::note("acceptance floor: coalesced >= 5x serial on this "
                 "duplicate-heavy trace; ci.sh fails below 1x");
@@ -311,11 +325,10 @@ main(int argc, char** argv)
               << kDistinctEviction << " distinct questions, caps "
               << kMaxAnswers << " answers / " << kMaxPlanners
               << " planners: " << eviction_ms << " ms\n"
-              << "answers cached=" << bounded_stats.answersCached
-              << " peak=" << bounded_stats.answersCachedPeak
-              << " evicted=" << bounded_stats.answersEvicted
-              << "; planners cached=" << bounded_stats.plannersCached
-              << " evicted=" << bounded_stats.plannersEvicted << '\n'
+              << "answers cached=" << answers_cached
+              << " peak=" << answers_peak << " evicted=" << answers_evicted
+              << "; planners cached=" << planners_cached
+              << " evicted=" << planners_evicted << '\n'
               << "capacity respected: "
               << (capacity_respected ? "yes" : "NO") << ", eviction "
               << "exercised: " << (eviction_exercised ? "yes" : "NO")
@@ -340,17 +353,22 @@ main(int argc, char** argv)
         << "  \"speedup_coalesced_vs_serial\": " << speedup << ",\n"
         << "  \"answer_mismatches\": " << mismatches << ",\n"
         << "  \"service_stats\": {\n"
-        << "    \"requests\": " << stats.requests << ",\n"
-        << "    \"coalesced\": " << stats.coalesced << ",\n"
-        << "    \"executed\": " << stats.executed << ",\n"
-        << "    \"planners_created\": " << stats.plannersCreated << ",\n"
-        << "    \"planner_reuses\": " << stats.plannerReuses << ",\n"
-        << "    \"plans_compiled\": " << stats.plansCompiled << ",\n"
-        << "    \"plan_registry_hits\": " << stats.planRegistryHits
+        << "    \"requests\": " << stats.counter("serve.requests") << ",\n"
+        << "    \"coalesced\": " << stats.counter("serve.coalesced")
         << ",\n"
-        << "    \"steps_simulated\": " << stats.stepsSimulated << ",\n"
-        << "    \"p50_latency_ms\": " << stats.p50LatencyMs << ",\n"
-        << "    \"p99_latency_ms\": " << stats.p99LatencyMs << "\n"
+        << "    \"executed\": " << stats.counter("serve.executed") << ",\n"
+        << "    \"planners_created\": "
+        << stats.counter("serve.planners.created") << ",\n"
+        << "    \"planner_reuses\": "
+        << stats.counter("serve.planners.reuses") << ",\n"
+        << "    \"plans_compiled\": "
+        << stats.counter("serve.plans.compiled") << ",\n"
+        << "    \"plan_registry_hits\": "
+        << stats.counter("serve.plans.registry_hits") << ",\n"
+        << "    \"steps_simulated\": "
+        << stats.counter("serve.steps_simulated") << ",\n"
+        << "    \"p50_latency_ms\": " << p50_latency_ms << ",\n"
+        << "    \"p99_latency_ms\": " << p99_latency_ms << "\n"
         << "  },\n"
         << "  \"eviction_pressure\": {\n"
         << "    \"trace_requests\": " << pressure.size() << ",\n"
@@ -358,16 +376,11 @@ main(int argc, char** argv)
         << "    \"max_answers\": " << kMaxAnswers << ",\n"
         << "    \"max_planners\": " << kMaxPlanners << ",\n"
         << "    \"timing_ms\": " << eviction_ms << ",\n"
-        << "    \"answers_cached\": " << bounded_stats.answersCached
-        << ",\n"
-        << "    \"answers_cached_peak\": "
-        << bounded_stats.answersCachedPeak << ",\n"
-        << "    \"answers_evicted\": " << bounded_stats.answersEvicted
-        << ",\n"
-        << "    \"planners_cached\": " << bounded_stats.plannersCached
-        << ",\n"
-        << "    \"planners_evicted\": "
-        << bounded_stats.plannersEvicted << ",\n"
+        << "    \"answers_cached\": " << answers_cached << ",\n"
+        << "    \"answers_cached_peak\": " << answers_peak << ",\n"
+        << "    \"answers_evicted\": " << answers_evicted << ",\n"
+        << "    \"planners_cached\": " << planners_cached << ",\n"
+        << "    \"planners_evicted\": " << planners_evicted << ",\n"
         << "    \"answer_mismatches\": " << eviction_mismatches << "\n"
         << "  }\n"
         << "}\n";

@@ -50,9 +50,11 @@ main()
     CostEstimator estimator(planner.catalog());
     Table orca({"GPU", "Throughput (q/s)", "GPU-hours", "Cost ($)"});
     for (const CostRow& row : rows) {
-        CostEstimate est = estimator.estimate(
-            row.gpuName, row.throughputQps, orca_scenario.numQueries,
-            orca_scenario.epochs);
+        CostEstimate est = estimator
+                               .tryEstimate(row.gpuName, row.throughputQps,
+                                            orca_scenario.numQueries,
+                                            orca_scenario.epochs)
+                               .valueOrThrow();
         orca.addRow({row.gpuName, Table::fmt(est.throughputQps, 2),
                      Table::fmt(est.gpuHours, 0),
                      Table::fmt(est.totalDollars, 0)});

@@ -90,9 +90,11 @@ main(int argc, char** argv)
     std::vector<PlanResponse> template_answers;
     for (const PlanRequest& request : templates)
         template_answers.push_back(reference.ask(request));
-    if (reference.stats().stepsSimulated != kDistinctStepConfigs)
+    const std::uint64_t reference_steps =
+        reference.statsRegistry()->snapshot().counter("serve.steps_simulated");
+    if (reference_steps != kDistinctStepConfigs)
         fatal(strCat("bench_wire: reference simulated ",
-                     reference.stats().stepsSimulated,
+                     reference_steps,
                      " steps, expected ", kDistinctStepConfigs));
 
     // ---- Pre-encode everything outside the clock. -------------------
@@ -213,8 +215,12 @@ main(int argc, char** argv)
     const double json_wall_ms = run_phase(false);
     const double binary_wall_ms = run_phase(true);
 
-    const ServiceStats stats = server.service().stats();
-    const NetServerStats net = server.stats();
+    // One shard-wide snapshot: serve.* and net.* share the registry.
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    const std::uint64_t steps_simulated =
+        stats.counter("serve.steps_simulated");
+    const std::uint64_t binary_requests =
+        stats.counter("net.wire.requests");
     server.stop();
 
     const double json_rps =
@@ -237,7 +243,7 @@ main(int argc, char** argv)
               << "speedup binary vs json: " << speedup << "x\n"
               << "byte mismatches: " << mismatches
               << ", failed connections: " << failed_connections
-              << ", steps_simulated=" << stats.stepsSimulated << '\n';
+              << ", steps_simulated=" << steps_simulated << '\n';
     bench::note("gate: byte-identical answers in both formats and "
                 "binary >= 1.3x JSON");
 
@@ -260,15 +266,16 @@ main(int argc, char** argv)
         << "  \"byte_mismatches\": " << mismatches << ",\n"
         << "  \"failed_connections\": " << failed_connections << ",\n"
         << "  \"service_stats\": {\n"
-        << "    \"steps_simulated\": " << stats.stepsSimulated
-        << ",\n"
-        << "    \"executed\": " << stats.executed << "\n"
+        << "    \"steps_simulated\": " << steps_simulated << ",\n"
+        << "    \"executed\": " << stats.counter("serve.executed") << "\n"
         << "  },\n"
         << "  \"net_stats\": {\n"
-        << "    \"requests\": " << net.requests << ",\n"
-        << "    \"binary_requests\": " << net.binaryRequests << ",\n"
-        << "    \"wire_poisoned\": " << net.wirePoisoned << ",\n"
-        << "    \"protocol_errors\": " << net.protocolErrors << "\n"
+        << "    \"requests\": " << stats.counter("net.requests") << ",\n"
+        << "    \"binary_requests\": " << binary_requests << ",\n"
+        << "    \"wire_poisoned\": " << stats.counter("net.wire.poisoned")
+        << ",\n"
+        << "    \"protocol_errors\": "
+        << stats.counter("net.protocol_errors") << "\n"
         << "  }\n"
         << "}\n";
     bench::note("wrote " + out_path);
@@ -283,15 +290,15 @@ main(int argc, char** argv)
                      "in-process PlanService\n";
         return 1;
     }
-    if (stats.stepsSimulated != kDistinctStepConfigs) {
+    if (steps_simulated != kDistinctStepConfigs) {
         std::cerr << "bench_wire: server simulated "
-                  << stats.stepsSimulated << " steps, expected "
+                  << steps_simulated << " steps, expected "
                   << kDistinctStepConfigs << '\n';
         return 1;
     }
-    if (net.binaryRequests != requests_per_mode) {
+    if (binary_requests != requests_per_mode) {
         std::cerr << "bench_wire: server counted "
-                  << net.binaryRequests << " binary requests, "
+                  << binary_requests << " binary requests, "
                   << "expected " << requests_per_mode << '\n';
         return 1;
     }

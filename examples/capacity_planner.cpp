@@ -126,13 +126,15 @@ main(int argc, char** argv)
                       << best.errorCode << ")\n";
     }
 
-    const ServiceStats stats = service.stats();
-    std::cout << "\nservice: " << stats.requests << " requests, "
-              << stats.coalesced << " coalesced, "
-              << stats.plannersCreated << " planners ("
-              << stats.plannerReuses << " reuses), "
-              << stats.stepsSimulated << " steps simulated, p99 "
-              << Table::fmt(stats.p99LatencyMs, 1) << " ms\n";
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    std::cout << "\nservice: " << stats.counter("serve.requests")
+              << " requests, " << stats.counter("serve.coalesced")
+              << " coalesced, " << stats.counter("serve.planners.created")
+              << " planners (" << stats.counter("serve.planners.reuses")
+              << " reuses), " << stats.counter("serve.steps_simulated")
+              << " steps simulated, p99 "
+              << Table::fmt(stats.find("serve.latency_ms.p99")->value, 1)
+              << " ms\n";
     // An unplannable scenario (e.g. num_queries 0) is a failed run,
     // same contract as the pre-service version of this example.
     return cost_table.ok ? 0 : 1;

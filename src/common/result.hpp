@@ -9,8 +9,8 @@
  * legitimate domain failures — an unpriced GPU, a model that does not fit
  * at batch 1 — that callers want to branch on, not die on. `Result<T>`
  * carries either a value or an `Error` (code + human-readable message).
- * The legacy `ExperimentPipeline` / `generateCharacterizationReport`
- * entry points keep their throwing behavior via `valueOrThrow()`.
+ * Command-line tools that have no use for a failed answer unwrap with
+ * `valueOrThrow()`.
  *
  * Lives in common/ (not core/) because it is a vocabulary type: the
  * simulator layer (gpusim) reports domain failures the same way the
@@ -113,8 +113,7 @@ class Result {
     }
 
     /**
-     * The value, or throws `FatalError` carrying the error message —
-     * the bridge the deprecated fatal-on-error shims stand on.
+     * The value, or throws `FatalError` carrying the error message.
      */
     const T& valueOrThrow() const
     {

@@ -9,12 +9,11 @@
  * NetServer, RouterServer) publishes its runtime counters into one of
  * these under hierarchical dotted names — `serve.requests`,
  * `net.conn.accepted`, `router.shard.127.0.0.1:9001.routed` — instead
- * of keeping private ad-hoc atomics. The existing stats structs
- * (ServiceStats, NetServerStats, RouterStats) are *views* over the
- * registry: they read the same cells, so pinned counter values are
- * unchanged by the migration. The registry is what the live `stats`
- * protocol query scrapes and what `--stats-json/--stats-csv` dump on
- * exit (the DNNsim Statistics/StatsWriter shape).
+ * of keeping private ad-hoc atomics. The registry is the one read
+ * path for those counters: the live `stats` protocol query scrapes it,
+ * `--stats-json/--stats-csv` dump it on exit (the DNNsim
+ * Statistics/StatsWriter shape), and benches and tests read
+ * `snapshot()` under the same cell names.
  *
  * Concurrency contract (mirrors PlannerStats):
  *

@@ -3,9 +3,9 @@
 
 /**
  * @file
- * Value types shared by the planning facade (core/planner.hpp) and the
- * legacy experiment pipeline (core/pipeline.hpp): fitted analytical
- * models with their training data, and Table IV cost rows.
+ * Value types returned by the planning facade (core/planner.hpp):
+ * fitted analytical models with their training data, and Table IV cost
+ * rows.
  */
 
 #include <string>

@@ -1,8 +1,7 @@
-#include "core/report.hpp"
-
 #include <sstream>
 
 #include "common/table.hpp"
+#include "core/planner.hpp"
 
 namespace ftsim {
 
@@ -101,27 +100,6 @@ Planner::report(const GpuSpec& gpu) const
         return cost_r.error();
     }
     return out.str();
-}
-
-Scenario
-ReportRequest::toScenario() const
-{
-    Scenario s;
-    s.model = model;
-    s.medianSeqLen = medianSeqLen;
-    s.lengthSigma = lengthSigma;
-    s.numQueries = numQueries;
-    s.epochs = epochs;
-    s.sparse = sparse;
-    s.calibration = calibration;
-    return s;
-}
-
-std::string
-generateCharacterizationReport(const ReportRequest& request)
-{
-    Planner planner(request.toScenario(), request.catalog);
-    return planner.report(request.gpu).valueOrThrow();
 }
 
 }  // namespace ftsim

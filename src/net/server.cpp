@@ -489,9 +489,9 @@ struct NetServer::Impl {
     std::atomic<bool> stopRequested{false};
     std::vector<std::unique_ptr<Conn>> conns;
 
-    // Registry cells under `net.*`, bumped at the same program points
-    // as the pre-registry atomics they replace (NetServerStats is a
-    // view over them, so pinned values are unchanged).
+    // Registry cells under `net.*` (loop-thread maintained; snapshot
+    // after stop() for exact values, mid-run for a live
+    // approximation).
     StatsCounter& accepted;
     StatsCounter& closed;
     StatsCounter& requests;
@@ -573,25 +573,6 @@ const std::shared_ptr<StatsRegistry>&
 NetServer::statsRegistry() const
 {
     return impl_->stats;
-}
-
-NetServerStats
-NetServer::stats() const
-{
-    NetServerStats out;
-    out.connectionsAccepted = impl_->accepted.load();
-    out.connectionsClosed = impl_->closed.load();
-    out.connectionsOpen =
-        out.connectionsAccepted - out.connectionsClosed;
-    out.requests = impl_->requests.load();
-    out.responses = impl_->responses.load();
-    out.protocolErrors = impl_->protocolErrors.load();
-    out.oversizedLines = impl_->oversized.load();
-    out.idleClosed = impl_->idleClosed.load();
-    out.forcedClosed = impl_->forcedClosed.load();
-    out.binaryRequests = impl_->binaryRequests.load();
-    out.wirePoisoned = impl_->wirePoisoned.load();
-    return out;
 }
 
 }  // namespace ftsim

@@ -83,7 +83,7 @@ struct NetServerConfig {
      * requests) after this long is force-closed instead of holding
      * the drain hostage — a stalled peer that never reads must not
      * turn SIGTERM into a hang. 0 = wait forever (the pre-deadline
-     * behavior). Counted in NetServerStats::forcedClosed.
+     * behavior). Counted in `net.forced_closed`.
      */
     double drainDeadlineMs = 0.0;
     /**
@@ -101,34 +101,6 @@ struct NetServerConfig {
     std::function<double()> clock;
     /** The in-process service being fronted (governance included). */
     ServiceConfig service;
-};
-
-/** Aggregate front-end counters (service stats live one level down).
- *  A view over the server's StatsRegistry `net.*` cells since ISSUE-8:
- *  the live `stats` scrape and this struct always agree. */
-struct NetServerStats {
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t connectionsClosed = 0;
-    /** Connections open right now. */
-    std::uint64_t connectionsOpen = 0;
-    /** Requests submitted to the service (both wire formats). */
-    std::uint64_t requests = 0;
-    /** Responses written back (both wire formats). */
-    std::uint64_t responses = 0;
-    /** Frames answered with a protocol error (parse/decode failure). */
-    std::uint64_t protocolErrors = 0;
-    /** JSON lines that crossed the frame cap. */
-    std::uint64_t oversizedLines = 0;
-    /** Requests that arrived as binary frames (subset of requests). */
-    std::uint64_t binaryRequests = 0;
-    /** Connections killed by binary framing damage (bad header,
-     *  over-cap length, truncation). */
-    std::uint64_t wirePoisoned = 0;
-    /** Connections closed by the idle timeout. */
-    std::uint64_t idleClosed = 0;
-    /** Connections force-closed at the drain deadline with answers
-     *  still unflushed. */
-    std::uint64_t forcedClosed = 0;
 };
 
 /** Poll-based TCP front end over a PlanService (see file comment). */
@@ -176,10 +148,6 @@ class NetServer {
      *  the same instance (one `stats` scrape covers the process).
      *  Shared from NetServerConfig::service.statsRegistry when set. */
     const std::shared_ptr<StatsRegistry>& statsRegistry() const;
-
-    /** Front-end counters (loop-thread maintained; read after stop()
-     *  for exact values, mid-run for a live approximation). */
-    NetServerStats stats() const;
 
   private:
     struct Impl;  ///< Poll loop internals (connections live here).

@@ -21,6 +21,10 @@ namespace ftsim {
 
 namespace {
 
+/** Frame cap on shard *response* lines, bytes — reports and snapshots
+ *  are far larger than any request. */
+constexpr std::size_t kMaxShardLineBytes = 1 << 26;
+
 /** Blank lines are not requests (mirrors NetServer / ftsim_serve). */
 bool
 isBlank(const std::string& line)
@@ -36,8 +40,16 @@ monotonicMs()
         .count();
 }
 
-}  // namespace
+/** Where a shard is in its death/heal lifecycle (see router.hpp). */
+enum class ShardState {
+    Alive,       ///< Serving; ring points placed.
+    Backoff,     ///< Dead; next re-dial scheduled.
+    Connecting,  ///< Non-blocking dial in flight.
+    Warming,     ///< Connected; survivor snapshots being pushed.
+    Down,        ///< Dead with healing disabled (terminal).
+};
 
+/** Wire/report spelling of a ShardState (the `fleet` answer's). */
 const char*
 shardStateName(ShardState state)
 {
@@ -50,6 +62,8 @@ shardStateName(ShardState state)
     }
     return "?";
 }
+
+}  // namespace
 
 /** Poll-loop internals: every member is loop-thread-owned except the
  *  stop flag, the wake pipe's write end, and the atomics. */
@@ -175,8 +189,8 @@ struct RouterServer::Impl {
          *  to be pushed. */
         std::vector<std::string> snapshots;
 
-        Shard(ShardEndpoint e, std::size_t max_line)
-            : endpoint(std::move(e)), framer(max_line)
+        explicit Shard(ShardEndpoint e)
+            : endpoint(std::move(e)), framer(kMaxShardLineBytes)
         {
         }
 
@@ -223,8 +237,8 @@ struct RouterServer::Impl {
             if (endpoint.name.empty())
                 endpoint.name =
                     strCat(endpoint.host, ':', endpoint.port);
-            shards.push_back(std::make_unique<Shard>(
-                std::move(endpoint), config.maxShardLineBytes));
+            shards.push_back(
+                std::make_unique<Shard>(std::move(endpoint)));
         }
         // The shards vector is fixed from here on, and the rows read
         // only atomics — safe from any snapshotting thread.
@@ -400,7 +414,7 @@ struct RouterServer::Impl {
         shard.socket.close();
         shard.out.clear();
         shard.outOff = 0;
-        shard.framer = WireFramer(config.maxShardLineBytes);
+        shard.framer = WireFramer(kMaxShardLineBytes);
         ring.removeShard(index);
         std::deque<std::shared_ptr<Slot>> orphans;
         orphans.swap(shard.outstanding);
@@ -497,7 +511,7 @@ struct RouterServer::Impl {
      */
     void beginWarm(Shard& shard, std::size_t index)
     {
-        shard.framer = WireFramer(config.maxShardLineBytes);
+        shard.framer = WireFramer(kMaxShardLineBytes);
         shard.out.clear();
         shard.outOff = 0;
         shard.outstanding.clear();
@@ -1266,9 +1280,7 @@ struct RouterServer::Impl {
     std::vector<pid_t> children;  ///< Respawned workers (loop-owned).
     std::size_t statsProvider = 0;
 
-    // Registry-backed cells (ISSUE-8). Same increment sites as the
-    // pre-registry atomics, so every pinned BENCH counter keeps its
-    // exact value; RouterStats is now a view over these.
+    // Registry cells under `router.*` (loop-thread maintained).
     StatsCounter& accepted;
     StatsCounter& closed;
     StatsCounter& forwarded;
@@ -1357,40 +1369,6 @@ const std::shared_ptr<StatsRegistry>&
 RouterServer::statsRegistry() const
 {
     return impl_->stats;
-}
-
-RouterStats
-RouterServer::stats() const
-{
-    RouterStats out;
-    out.connectionsAccepted = impl_->accepted.load();
-    out.connectionsClosed = impl_->closed.load();
-    out.connectionsOpen =
-        out.connectionsAccepted - out.connectionsClosed;
-    out.forwarded = impl_->forwarded.load();
-    out.responses = impl_->responses.load();
-    out.protocolErrors = impl_->protocolErrors.load();
-    out.oversizedLines = impl_->oversized.load();
-    out.shardFailures = impl_->shardFailures.load();
-    out.retried = impl_->retried.load();
-    out.deadlineExpired = impl_->deadlineExpired.load();
-    out.healed = impl_->healed.load();
-    out.respawned = impl_->respawned.load();
-    out.lastHealMs = impl_->lastHealMs.load();
-    out.fleetQueries = impl_->fleetQueries.load();
-    out.statsQueries = impl_->statsQueries.load();
-    for (const auto& shard : impl_->shards) {
-        ShardHealth row;
-        row.name = shard->endpoint.name;
-        row.state = shard->state.load();
-        row.alive = row.state == ShardState::Alive;
-        row.routed = shard->routed.load();
-        row.dialAttempts = shard->dialAttempts.load();
-        row.heals = shard->heals.load();
-        out.shardsAlive += row.alive ? 1 : 0;
-        out.shards.push_back(std::move(row));
-    }
-    return out;
 }
 
 }  // namespace ftsim

@@ -113,9 +113,6 @@ struct RouterConfig {
     std::size_t maxConnections = 64;
     /** Frame cap on client request lines, bytes. */
     std::size_t maxLineBytes = 1 << 20;
-    /** Frame cap on shard *response* lines — reports and snapshots
-     *  are far larger than any request. */
-    std::size_t maxShardLineBytes = 1 << 26;
     /** Ring points per shard (see router/hash_ring.hpp). */
     std::size_t virtualNodes = 64;
     /** Extra forwarding attempts per request after its shard dies;
@@ -147,69 +144,6 @@ struct RouterConfig {
      *  Per-shard health rows join every snapshot as
      *  `router.shard.<name>.routed/dials/heals/alive` provider rows. */
     std::shared_ptr<StatsRegistry> statsRegistry;
-};
-
-/** Where a shard is in its death/heal lifecycle (see file comment). */
-enum class ShardState {
-    Alive,       ///< Serving; ring points placed.
-    Backoff,     ///< Dead; next re-dial scheduled.
-    Connecting,  ///< Non-blocking dial in flight.
-    Warming,     ///< Connected; survivor snapshots being pushed.
-    Down,        ///< Dead with healing disabled (terminal).
-};
-
-/** Wire/report spelling of a ShardState ("alive", "backoff", ...). */
-const char* shardStateName(ShardState state);
-
-/** Per-shard health row in RouterStats. */
-struct ShardHealth {
-    std::string name;
-    bool alive = false;
-    ShardState state = ShardState::Down;
-    /** Requests forwarded to this shard (dead shards keep their
-     *  count — the ledger survives the shard). */
-    std::uint64_t routed = 0;
-    /** Heal re-dials attempted (the heartbeat's pulse count). */
-    std::uint64_t dialAttempts = 0;
-    /** Completed warm rejoins. */
-    std::uint64_t heals = 0;
-};
-
-/** Aggregate router counters (loop-thread maintained). A view over
- *  the router's StatsRegistry `router.*` cells since ISSUE-8: the
- *  live `stats` scrape and this struct always agree. */
-struct RouterStats {
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t connectionsClosed = 0;
-    std::uint64_t connectionsOpen = 0;
-    /** Client request lines forwarded upstream. */
-    std::uint64_t forwarded = 0;
-    /** Response lines written back to clients. */
-    std::uint64_t responses = 0;
-    /** Lines answered with a typed protocol error. */
-    std::uint64_t protocolErrors = 0;
-    /** Lines that crossed the client frame cap. */
-    std::uint64_t oversizedLines = 0;
-    /** Requests answered `Unavailable`: shard death with the retry
-     *  budget exhausted, or no live shard to take them. */
-    std::uint64_t shardFailures = 0;
-    /** Requests re-forwarded to a survivor after their shard died. */
-    std::uint64_t retried = 0;
-    /** Shards declared wedged by the per-request answer deadline. */
-    std::uint64_t deadlineExpired = 0;
-    /** Completed warm rejoins, fleet-wide. */
-    std::uint64_t healed = 0;
-    /** Replacement workers fork/exec'd (respawnCommand). */
-    std::uint64_t respawned = 0;
-    /** Injectable-clock timestamp of the last completed heal; < 0
-     *  when no shard has ever rejoined. */
-    double lastHealMs = -1.0;
-    /** `fleet` queries answered by the router itself. */
-    std::uint64_t fleetQueries = 0;
-    /** `stats` queries scatter-gathered across the fleet. */
-    std::uint64_t statsQueries = 0;
-    std::size_t shardsAlive = 0;
-    std::vector<ShardHealth> shards;
 };
 
 /** Consistent-hash fleet router (see file comment). */
@@ -258,8 +192,6 @@ class RouterServer {
      *  provider rows). Shared from RouterConfig::statsRegistry when
      *  set; otherwise a private instance. */
     const std::shared_ptr<StatsRegistry>& statsRegistry() const;
-
-    RouterStats stats() const;
 
   private:
     struct Impl;  ///< Poll loop internals.

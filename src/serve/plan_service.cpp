@@ -12,6 +12,18 @@ namespace ftsim {
 
 namespace {
 
+/** Upper edge of the `serve.latency_ms` histogram (10s of headroom). */
+constexpr double kLatencyMaxMs = 10000.0;
+
+/**
+ * Submission sources (connections) whose per-source counters are
+ * retained; least-recently-active sources are forgotten past this.
+ * Source labels come from SubmitOptions::source — the network front
+ * end stamps one per connection — so like tenant names they are
+ * unauthenticated churn and must not grow the service.
+ */
+constexpr std::size_t kMaxSources = 4096;
+
 double
 nowMs()
 {
@@ -31,7 +43,7 @@ PlanService::PlanService(ServiceConfig config)
       catalog_fingerprint_(config_.catalog.fingerprint()),
       answers_(config_.maxAnswers),
       planners_(config_.maxPlanners),
-      sources_(config_.maxSources),
+      sources_(kMaxSources),
       stats_(config_.statsRegistry
                  ? config_.statsRegistry
                  : std::make_shared<StatsRegistry>()),
@@ -43,10 +55,7 @@ PlanService::PlanService(ServiceConfig config)
       planner_reuses_(stats_->counter("serve.planners.reuses")),
       planner_hits_(stats_->counter("planner.step_cache_hits")),
       planner_misses_(stats_->counter("planner.step_cache_misses")),
-      latency_(stats_->histogram("serve.latency_ms", 0.0,
-                                 config_.latencyMaxMs > 0.0
-                                     ? config_.latencyMaxMs
-                                     : 10000.0,
+      latency_(stats_->histogram("serve.latency_ms", 0.0, kLatencyMaxMs,
                                  4096)),
       pool_(config_.workers > 0 ? config_.workers : hardwareThreads())
 {
@@ -400,19 +409,21 @@ PlanService::liveAnswer(const PlanRequest& request) const
                                  loaded.value().plansSkipped);
         return response;
     }
-    // Fleet health: value carries stepsSimulated — the thundering-herd
-    // counter the fleet bench asserts over the wire — and the report
-    // line the rest of the ledger.
-    const ServiceStats s = stats();
-    response.value = static_cast<double>(s.stepsSimulated);
+    // Fleet health: value carries serve.steps_simulated — the
+    // thundering-herd counter the fleet bench asserts over the wire —
+    // and the report line the rest of the ledger.
+    const StatsSnapshot snap = stats_->snapshot();
+    const std::uint64_t steps = snap.counter("serve.steps_simulated");
+    response.value = static_cast<double>(steps);
     response.report =
-        strCat("requests=", s.requests, " executed=", s.executed,
-               " coalesced=", s.coalesced,
-               " rate_limited=", s.rateLimited,
-               " steps_simulated=", s.stepsSimulated,
-               " plans_compiled=", s.plansCompiled,
-               " plans_loaded=", s.plansLoaded,
-               " answers_cached=", s.answersCached);
+        strCat("requests=", snap.counter("serve.requests"),
+               " executed=", snap.counter("serve.executed"),
+               " coalesced=", snap.counter("serve.coalesced"),
+               " rate_limited=", snap.counter("serve.rate_limited"),
+               " steps_simulated=", steps,
+               " plans_compiled=", snap.counter("serve.plans.compiled"),
+               " plans_loaded=", snap.counter("serve.plans.loaded"),
+               " answers_cached=", snap.counter("serve.answers.cached"));
     return response;
 }
 
@@ -443,7 +454,6 @@ PlanService::plannerFor(const PlanRequest& request)
     auto planner = std::make_shared<Planner>(request.scenario,
                                              std::move(catalog),
                                              registry_);
-    planner->setParallelism(config_.plannerParallelism);
     // Cell-level bind: we hold planners_mutex_, so the registry mutex
     // must not be taken here (the snapshot provider acquires them in
     // the opposite order).
@@ -580,60 +590,6 @@ PlanService::recordLatencyMs(double ms)
     // Lock-free: the histogram is internally atomic (torn-free
     // concurrent quantiles), so the old latency mutex is gone.
     latency_.add(ms);
-}
-
-ServiceStats
-PlanService::stats() const
-{
-    ServiceStats out;
-    out.requests = requests_.load();
-    out.coalesced = coalesced_.load();
-    out.executed = executed_.load();
-    out.rateLimited = rate_limited_.load();
-    out.plannersCreated = planners_created_.load();
-    out.plannerReuses = planner_reuses_.load();
-    out.plansCompiled = registry_->plansCompiled();
-    out.plansLoaded = registry_->plansLoaded();
-    out.planRegistryHits = registry_->planHits();
-    out.queueDepth = pool_.pendingTasks();
-    {
-        std::lock_guard<std::mutex> lock(planners_mutex_);
-        out.plannersCached = planners_.size();
-        out.plannersEvicted = planners_.evictions();
-        out.stepsSimulated = retired_planner_steps_.load();
-        planners_.forEach(
-            [&out](const std::string&,
-                   const std::shared_ptr<Planner>& planner) {
-                out.stepsSimulated += planner->stats().stepsSimulated;
-            });
-    }
-    {
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        out.answersCached = answers_.size();
-        out.answersCachedPeak = answers_.peakSize();
-        out.answersEvicted = answers_.evictions();
-    }
-    {
-        std::lock_guard<std::mutex> lock(tenants_mutex_);
-        for (const auto& [name, state] : tenants_) {
-            TenantStats row;
-            row.admitted = state.admitted;
-            row.rejectedInflight = state.rejectedInflight;
-            row.rejectedRate = state.rejectedRate;
-            row.inflight = state.inflight;
-            out.tenants.emplace(name, row);
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(sources_mutex_);
-        sources_.forEach(
-            [&out](const std::string& name, const SourceStats& row) {
-                out.sources.emplace(name, row);
-            });
-    }
-    out.p50LatencyMs = latency_.quantile(0.5);
-    out.p99LatencyMs = latency_.quantile(0.99);
-    return out;
 }
 
 void

@@ -25,7 +25,7 @@
  *
  * The result: a thundering herd of N tenants probing one scenario x GPU
  * grid performs exactly distinct-config-many step simulations
- * (`ServiceStats::stepsSimulated`), however large N is — the
+ * (`serve.steps_simulated`), however large N is — the
  * thundering-herd test in tests/serve/test_plan_service.cpp pins it.
  *
  * **Resource governance (ISSUE-4).** Hostile traffic must not grow the
@@ -83,13 +83,8 @@ namespace ftsim {
 struct ServiceConfig {
     /** Worker threads draining the admission queue; 0 = hardware. */
     unsigned workers = 0;
-    /** Threads each planner may use for its own fan-outs. Keep at 1
-     *  when workers saturate the machine already (the default). */
-    unsigned plannerParallelism = 1;
     /** Base price list; request `rates` extend a copy per planner. */
     CloudCatalog catalog = CloudCatalog::cudoCompute();
-    /** Upper edge of the latency histogram (10s of headroom). */
-    double latencyMaxMs = 10000.0;
     /**
      * Registry every service counter is published into under `serve.*`
      * (and `planner.*` for the shared step-cache cells); the `stats`
@@ -129,14 +124,6 @@ struct ServiceConfig {
      */
     std::size_t maxTenants = 4096;
     /**
-     * Submission sources (connections) whose per-source counters are
-     * retained; least-recently-active sources are forgotten past this.
-     * Source labels come from SubmitOptions::source — the network
-     * front end stamps one per connection — so like tenant names they
-     * are unauthenticated churn and must not grow the service.
-     */
-    std::size_t maxSources = 4096;
-    /**
      * Virtual clock in milliseconds for admission control (token-bucket
      * refill, tenant-table recency, submit-to-answer latency). Null =
      * the real steady clock. Tests inject a controllable clock here to
@@ -154,8 +141,8 @@ struct ServiceConfig {
 struct SubmitOptions {
     /**
      * Stats bucket this submission is counted under (a connection
-     * label, a shard name); empty = untracked. Appears in
-     * `ServiceStats::sources`.
+     * label, a shard name); empty = untracked. Published as the
+     * `serve.source.<label>.*` registry rows.
      */
     std::string source;
     /**
@@ -173,7 +160,7 @@ struct SubmitOptions {
     std::function<void()> notify;
 };
 
-/** Per-source submission counters (one stats() row per source seen). */
+/** Per-source submission counters (the `serve.source.<label>.*` rows). */
 struct SourceStats {
     /** Requests submitted under this source label. */
     std::uint64_t requests = 0;
@@ -181,75 +168,6 @@ struct SourceStats {
     std::uint64_t coalesced = 0;
     /** Of those, rejected by admission control. */
     std::uint64_t rateLimited = 0;
-};
-
-/** Per-tenant admission counters (one stats() row per tenant seen). */
-struct TenantStats {
-    /** Requests that passed admission control. */
-    std::uint64_t admitted = 0;
-    /** Rejections by the max-inflight gate. */
-    std::uint64_t rejectedInflight = 0;
-    /** Rejections by the token bucket. */
-    std::uint64_t rejectedRate = 0;
-    /** Admitted requests whose answer is still pending right now. */
-    std::uint64_t inflight = 0;
-};
-
-/**
- * One stats() snapshot; deltas between snapshots are meaningful.
- * Since ISSUE-8 this struct is a *view* over the service's
- * StatsRegistry: every scalar below reads the same registry cell the
- * live `stats` scrape serializes, so both surfaces always agree.
- */
-struct ServiceStats {
-    /** Requests submitted (admitted or not). */
-    std::uint64_t requests = 0;
-    /** Requests answered by an existing (in-flight or completed)
-     *  identical execution. */
-    std::uint64_t coalesced = 0;
-    /** Requests that actually executed (requests - coalesced -
-     *  rateLimited, once the queue drains). */
-    std::uint64_t executed = 0;
-    /** Requests rejected by admission control (all tenants). */
-    std::uint64_t rateLimited = 0;
-    /** Distinct planners constructed. */
-    std::uint64_t plannersCreated = 0;
-    /** Requests routed to an already-existing planner. */
-    std::uint64_t plannerReuses = 0;
-    /** Planners LRU-evicted from the pool. */
-    std::uint64_t plannersEvicted = 0;
-    /** Planners currently pooled. */
-    std::uint64_t plannersCached = 0;
-    /** Completed answers currently cached. */
-    std::uint64_t answersCached = 0;
-    /** Largest answersCached ever reached — must never exceed
-     *  ServiceConfig::maxAnswers when that is set (bench-asserted). */
-    std::uint64_t answersCachedPeak = 0;
-    /** Completed answers LRU-evicted from the cache. */
-    std::uint64_t answersEvicted = 0;
-    /** Step-plan shapes compiled fleet-wide (registry). */
-    std::uint64_t plansCompiled = 0;
-    /** Step-plan shapes adopted from a warm-start snapshot instead of
-     *  compiled (registry; see gpusim/registry_snapshot.hpp). */
-    std::uint64_t plansLoaded = 0;
-    /** Builder plan lookups answered by the shared registry. */
-    std::uint64_t planRegistryHits = 0;
-    /** Step simulations across every planner in the service. Evicted
-     *  planners contribute their count as of eviction; steps a planner
-     *  simulates *after* leaving the pool (while finishing an in-flight
-     *  request) are not re-read. */
-    std::uint64_t stepsSimulated = 0;
-    /** Tasks queued behind the workers right now. */
-    std::uint64_t queueDepth = 0;
-    /** Median / 99th-percentile submit-to-answer latency of executed
-     *  requests, ms (histogram estimate; see common/histogram). */
-    double p50LatencyMs = 0.0;
-    double p99LatencyMs = 0.0;
-    /** Admission counters per tenant name seen so far. */
-    std::map<std::string, TenantStats> tenants;
-    /** Submission counters per SubmitOptions::source label (bounded by
-     *  ServiceConfig::maxSources; idle labels age out). */
-    std::map<std::string, SourceStats> sources;
 };
 
 /** Concurrent plan-serving facade (see file comment). */
@@ -275,7 +193,7 @@ class PlanService {
 
     /**
      * submit() with caller identity: @p options.source buckets the
-     * submission in `ServiceStats::sources`, and @p options.notify is
+     * submission under `serve.source.<label>.*`, and @p options.notify is
      * invoked once the future is ready (see SubmitOptions). The
      * network front end submits through this overload so its poll
      * loop can sleep until an answer (not a socket) wakes it.
@@ -285,9 +203,6 @@ class PlanService {
 
     /** submit() + wait, with the response id restored to @p request's. */
     PlanResponse ask(const PlanRequest& request);
-
-    /** Snapshot of the service counters (see ServiceStats). */
-    ServiceStats stats() const;
 
     /** The fleet-wide compiled-plan registry. */
     const std::shared_ptr<PlanRegistry>& planRegistry() const
@@ -425,7 +340,7 @@ class PlanService {
     std::map<std::string, TenantState> tenants_;
 
     mutable std::mutex sources_mutex_;
-    /** SubmitOptions::source -> counters, LRU-bounded (maxSources). */
+    /** SubmitOptions::source -> counters, LRU-bounded (kMaxSources). */
     LruCache<std::string, SourceStats> sources_;
 
     /** The registry every counter below lives in (declared before the

@@ -14,16 +14,16 @@ namespace {
 TEST(CloudCatalogTest, CudoRatesMatchPaper)
 {
     CloudCatalog catalog = CloudCatalog::cudoCompute();
-    EXPECT_DOUBLE_EQ(catalog.ratePerHour("A40"), 0.79);
-    EXPECT_DOUBLE_EQ(catalog.ratePerHour("A100-80GB"), 1.67);
-    EXPECT_DOUBLE_EQ(catalog.ratePerHour("H100"), 2.10);
+    EXPECT_DOUBLE_EQ(catalog.rate("A40").value(), 0.79);
+    EXPECT_DOUBLE_EQ(catalog.rate("A100-80GB").value(), 1.67);
+    EXPECT_DOUBLE_EQ(catalog.rate("H100").value(), 2.10);
 }
 
-TEST(CloudCatalogTest, UnknownGpuIsFatal)
+TEST(CloudCatalogTest, UnknownGpuIsAnError)
 {
     CloudCatalog catalog = CloudCatalog::cudoCompute();
     EXPECT_FALSE(catalog.has("TPUv5"));
-    EXPECT_THROW(catalog.ratePerHour("TPUv5"), FatalError);
+    EXPECT_EQ(catalog.rate("TPUv5").code(), ErrorCode::UnknownGpu);
 }
 
 TEST(CloudCatalogTest, CheapestProviderWins)
@@ -31,7 +31,7 @@ TEST(CloudCatalogTest, CheapestProviderWins)
     CloudCatalog catalog;
     catalog.add({"ProviderA", "A40", 1.00});
     catalog.add({"ProviderB", "A40", 0.60});
-    EXPECT_DOUBLE_EQ(catalog.ratePerHour("A40"), 0.60);
+    EXPECT_DOUBLE_EQ(catalog.rate("A40").value(), 0.60);
 }
 
 TEST(CloudCatalogTest, InvalidOfferingIsFatal)
@@ -45,7 +45,7 @@ TEST(CostEstimatorTest, ClosedFormCost)
 {
     CostEstimator est(CloudCatalog::cudoCompute());
     // 1 qps, 3600 queries, 1 epoch -> exactly 1 GPU-hour on the A40.
-    CostEstimate c = est.estimate("A40", 1.0, 3600.0, 1.0);
+    CostEstimate c = est.tryEstimate("A40", 1.0, 3600.0, 1.0).value();
     EXPECT_NEAR(c.gpuHours, 1.0, 1e-12);
     EXPECT_NEAR(c.totalDollars, 0.79, 1e-12);
 }
@@ -55,20 +55,23 @@ TEST(CostEstimatorTest, PaperTableIvMagnitudes)
     // Plugging the paper's own throughputs into the cost formula must
     // reproduce Table IV's dollar figures (14k queries, 10 epochs).
     CostEstimator est(CloudCatalog::cudoCompute());
-    EXPECT_NEAR(est.estimate("A40", 1.01, 14000.0, 10.0).totalDollars,
-                32.7, 2.5);
-    EXPECT_NEAR(
-        est.estimate("A100-80GB", 2.74, 14000.0, 10.0).totalDollars,
-        25.4, 2.0);
-    EXPECT_NEAR(est.estimate("H100", 4.90, 14000.0, 10.0).totalDollars,
-                17.9, 2.0);
+    auto dollars = [&est](const char* gpu, double qps) {
+        return est.tryEstimate(gpu, qps, 14000.0, 10.0)
+            .value()
+            .totalDollars;
+    };
+    EXPECT_NEAR(dollars("A40", 1.01), 32.7, 2.5);
+    EXPECT_NEAR(dollars("A100-80GB", 2.74), 25.4, 2.0);
+    EXPECT_NEAR(dollars("H100", 4.90), 17.9, 2.0);
 }
 
 TEST(CostEstimatorTest, HigherThroughputIsCheaper)
 {
     CostEstimator est(CloudCatalog::cudoCompute());
-    double slow = est.estimate("A40", 1.0, 1e5, 10.0).totalDollars;
-    double fast = est.estimate("A40", 2.0, 1e5, 10.0).totalDollars;
+    double slow =
+        est.tryEstimate("A40", 1.0, 1e5, 10.0).value().totalDollars;
+    double fast =
+        est.tryEstimate("A40", 2.0, 1e5, 10.0).value().totalDollars;
     EXPECT_NEAR(fast, slow / 2.0, 1e-9);
 }
 
@@ -77,18 +80,22 @@ TEST(CostEstimatorTest, CheapestSelectsByTotalNotRate)
     // The paper's headline: H100 is the *cheapest* end-to-end despite
     // the highest hourly rate, because it is proportionally faster.
     CostEstimator est(CloudCatalog::cudoCompute());
-    CostEstimate best = est.cheapest(
+    Result<CostEstimate> best = est.tryCheapest(
         {{"A40", 1.01}, {"A100-80GB", 2.74}, {"H100", 4.90}}, 14000.0,
         10.0);
-    EXPECT_EQ(best.gpuName, "H100");
+    ASSERT_TRUE(best.ok());
+    EXPECT_EQ(best.value().gpuName, "H100");
 }
 
-TEST(CostEstimatorTest, InvalidInputsAreFatal)
+TEST(CostEstimatorTest, InvalidInputsAreErrors)
 {
     CostEstimator est(CloudCatalog::cudoCompute());
-    EXPECT_THROW(est.estimate("A40", 0.0, 1.0, 1.0), FatalError);
-    EXPECT_THROW(est.estimate("A40", 1.0, 0.0, 1.0), FatalError);
-    EXPECT_THROW(est.cheapest({}, 1.0, 1.0), FatalError);
+    EXPECT_EQ(est.tryEstimate("A40", 0.0, 1.0, 1.0).code(),
+              ErrorCode::InvalidArgument);
+    EXPECT_EQ(est.tryEstimate("A40", 1.0, 0.0, 1.0).code(),
+              ErrorCode::InvalidArgument);
+    EXPECT_EQ(est.tryCheapest({}, 1.0, 1.0).code(),
+              ErrorCode::NoViablePlan);
 }
 
 TEST(CloudCatalogTest, WithRatePricesMissingGpus)

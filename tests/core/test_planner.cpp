@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the Planner facade: Result error paths, memoization
- * semantics (the costTable + report dedup guarantee), parallel fan-out
- * equivalence, and agreement with the legacy pipeline shims.
+ * semantics (the costTable + report dedup guarantee) and parallel
+ * fan-out equivalence.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "core/planner.hpp"
 
 namespace ftsim {
@@ -284,23 +283,6 @@ TEST(Planner, CheapestPlanIsH100)
     Result<CostRow> best = planner.cheapestPlan(GpuSpec::paperGpus());
     ASSERT_TRUE(best.ok());
     EXPECT_EQ(best.value().gpuName, "H100");
-}
-
-TEST(Planner, AgreesWithLegacyPipelineShims)
-{
-    Planner planner(Scenario::gsMath());
-    auto planner_rows = planner.costTable(GpuSpec::paperGpus());
-    ASSERT_TRUE(planner_rows.ok());
-    auto legacy_rows = ExperimentPipeline::costTable(
-        ModelSpec::mixtral8x7b(), GpuSpec::paperGpus(),
-        CloudCatalog::cudoCompute(), 148, true, 14000.0, 10.0);
-    ASSERT_EQ(planner_rows.value().size(), legacy_rows.size());
-    for (std::size_t i = 0; i < legacy_rows.size(); ++i) {
-        EXPECT_EQ(planner_rows.value()[i].gpuName,
-                  legacy_rows[i].gpuName);
-        EXPECT_DOUBLE_EQ(planner_rows.value()[i].totalDollars,
-                         legacy_rows[i].totalDollars);
-    }
 }
 
 TEST(Planner, FitThroughputIsCached)

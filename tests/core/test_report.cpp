@@ -1,20 +1,28 @@
 /**
  * @file
- * Tests for the one-call characterization report.
+ * Tests for the one-call characterization report (Planner::report).
  */
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hpp"
-#include "core/report.hpp"
+#include "core/planner.hpp"
 
 namespace ftsim {
 namespace {
 
+/** The report for @p scenario on @p gpu; fails the test on an error. */
+std::string
+reportFor(const Scenario& scenario, const GpuSpec& gpu = GpuSpec::a40())
+{
+    Result<std::string> report = Planner(scenario).report(gpu);
+    EXPECT_TRUE(report.ok()) << report.error().message;
+    return report.valueOr("");
+}
+
 TEST(Report, ContainsEverySection)
 {
-    ReportRequest request;  // Defaults: Mixtral on A40, GS-like dataset.
-    std::string report = generateCharacterizationReport(request);
+    // Mixtral on A40, GS-like dataset.
+    std::string report = reportFor(Scenario::gsMath());
     for (const char* expected :
          {"# Fine-tuning characterization", "## Memory",
           "maximum batch size: 4", "## Step breakdown", "matmul",
@@ -25,40 +33,30 @@ TEST(Report, ContainsEverySection)
 
 TEST(Report, BlackMambaVariant)
 {
-    ReportRequest request;
-    request.model = ModelSpec::blackMamba2p8b();
-    request.medianSeqLen = 79;
-    request.lengthSigma = 0.45;
-    std::string report = generateCharacterizationReport(request);
+    std::string report =
+        reportFor(Scenario{}
+                      .withModel(ModelSpec::blackMamba2p8b())
+                      .withMedianSeqLen(79)
+                      .withLengthSigma(0.45));
     EXPECT_NE(report.find("BlackMamba-2.8B"), std::string::npos);
     EXPECT_NE(report.find("maximum batch size: 20"), std::string::npos);
 }
 
 TEST(Report, UnpricedGpuStillReports)
 {
-    ReportRequest request;
-    request.model = ModelSpec::blackMamba2p8b();
-    request.gpu = GpuSpec::a100_40();  // Not in the CUDO catalog.
-    request.medianSeqLen = 79;
-    std::string report = generateCharacterizationReport(request);
+    std::string report =
+        reportFor(Scenario{}
+                      .withModel(ModelSpec::blackMamba2p8b())
+                      .withMedianSeqLen(79),
+                  GpuSpec::a100_40());  // Not in the CUDO catalog.
     EXPECT_NE(report.find("no price listed"), std::string::npos);
-}
-
-TEST(Report, OversizedModelIsFatal)
-{
-    ReportRequest request;
-    request.gpu.memGB = 24.0;  // Mixtral cannot fit.
-    EXPECT_THROW(generateCharacterizationReport(request), FatalError);
 }
 
 TEST(Report, DenseModeReportsSmallerBatch)
 {
-    ReportRequest sparse_req;
-    ReportRequest dense_req;
-    dense_req.sparse = false;
-    std::string sparse_report =
-        generateCharacterizationReport(sparse_req);
-    std::string dense_report = generateCharacterizationReport(dense_req);
+    std::string sparse_report = reportFor(Scenario::gsMath());
+    std::string dense_report =
+        reportFor(Scenario::gsMath().withSparse(false));
     EXPECT_NE(sparse_report.find("maximum batch size: 4"),
               std::string::npos);
     EXPECT_NE(dense_report.find("maximum batch size: 1"),

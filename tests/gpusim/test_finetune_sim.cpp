@@ -116,25 +116,6 @@ TEST(FineTuneSim, ThroughputMonotonicInBatch)
         EXPECT_GE(sweep[i].qps, sweep[i - 1].qps * 0.999);
 }
 
-TEST(FineTuneSim, ParallelSweepMatchesSerialBitExact)
-{
-    // The sweep parallelizes across batch sizes; every point must be
-    // byte-for-byte what the serial sweep computes.
-    FineTuneSim sim(ModelSpec::mixtral8x7b(), GpuSpec::a40());
-    auto serial = sim.throughputSweep(79, true, 16, 0.4, 1);
-    auto parallel = sim.throughputSweep(79, true, 16, 0.4, 8);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(serial.value().size(), parallel.value().size());
-    for (std::size_t i = 0; i < serial.value().size(); ++i) {
-        EXPECT_EQ(serial.value()[i].batchSize,
-                  parallel.value()[i].batchSize);
-        EXPECT_EQ(serial.value()[i].qps, parallel.value()[i].qps);
-        EXPECT_EQ(serial.value()[i].stepSeconds,
-                  parallel.value()[i].stepSeconds);
-    }
-}
-
 TEST(FineTuneSim, SmUtilRisesWithBatch)
 {
     // Fig. 9: time-weighted SM utilization increases with batch size.

@@ -10,7 +10,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/pipeline.hpp"
+#include "core/planner.hpp"
 #include "gpusim/finetune_sim.hpp"
 #include "gpusim/memory_model.hpp"
 
@@ -174,8 +174,14 @@ TEST_P(GpuSweep, ThroughputFitHoldsOnEveryGpu)
         GpuSpec::paperGpus()[static_cast<std::size_t>(GetParam())];
     // BlackMamba fits everywhere; Mixtral skips dense on A100-40GB
     // internally.
-    ThroughputFit fit = ExperimentPipeline::fitThroughput(
-        ModelSpec::blackMamba2p8b(), gpu, 79, {}, 0.45);
+    const ThroughputFit fit =
+        Planner(Scenario{}
+                    .withModel(ModelSpec::blackMamba2p8b())
+                    .withMedianSeqLen(79)
+                    .withLengthSigma(0.45),
+                CloudCatalog())
+            .fitThroughput(gpu)
+            .value();
     double max_qps = 0.0;
     for (const auto& obs : fit.observations)
         max_qps = std::max(max_qps, obs.qps);

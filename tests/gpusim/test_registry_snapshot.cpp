@@ -149,7 +149,9 @@ TEST(RegistrySnapshot, WarmStartedServiceCompilesZeroPlans)
     populate(warmed);
     EXPECT_EQ(warmed.planRegistry()->plansCompiled(), 0u);
     EXPECT_GT(warmed.planRegistry()->planHits(), 0u);
-    EXPECT_EQ(warmed.stats().plansLoaded, info.value().plansLoaded);
+    EXPECT_EQ(warmed.statsRegistry()->snapshot().counter(
+                  "serve.plans.loaded"),
+              info.value().plansLoaded);
 
     // And the answers are byte-identical to the donor's.
     PlanRequest probe;

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include "core/planner.hpp"
 #include "data/batching.hpp"
 #include "train/imbalance.hpp"
 #include "train/pretrain.hpp"
@@ -98,8 +98,10 @@ TEST(EndToEnd, AnalyticalPipelineMatchesSimulatorThroughput)
     // predictions at held-out batch sizes stay close to the simulator.
     ModelSpec spec = ModelSpec::mixtral8x7b();
     GpuSpec gpu = GpuSpec::a40();
-    ThroughputFit fit =
-        ExperimentPipeline::fitThroughput(spec, gpu, 148);
+    const ThroughputFit fit =
+        Planner(Scenario::gsMath(), CloudCatalog())
+            .fitThroughput(gpu)
+            .value();
     FineTuneSim sim(spec, gpu);
     // Interpolated, non-integer batch behaviour is smooth; check the
     // model at swept points directly.
@@ -112,11 +114,11 @@ TEST(EndToEnd, AnalyticalPipelineMatchesSimulatorThroughput)
 TEST(EndToEnd, CostPipelineEndToEnd)
 {
     // Table IV + OpenOrca projection recipe.
-    auto rows = ExperimentPipeline::costTable(
-        ModelSpec::mixtral8x7b(), GpuSpec::paperGpus(),
-        CloudCatalog::cudoCompute(), 148, true, 14000.0, 10.0);
-    ASSERT_EQ(rows.size(), 3u);  // A40, A100-80GB, H100 priced.
-    for (const auto& row : rows) {
+    Result<std::vector<CostRow>> rows =
+        Planner(Scenario::gsMath()).costTable(GpuSpec::paperGpus());
+    ASSERT_TRUE(rows.ok()) << rows.error().message;
+    ASSERT_EQ(rows.value().size(), 3u);  // A40, A100-80GB, H100 priced.
+    for (const auto& row : rows.value()) {
         EXPECT_GT(row.maxBatchSize, 0);
         EXPECT_GT(row.throughputQps, 0.0);
         EXPECT_GT(row.totalDollars, 0.0);

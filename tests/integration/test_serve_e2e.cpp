@@ -128,13 +128,14 @@ TEST(ServeE2E, GoldenOutputIsByteExact)
 
     // The fixture must actually exercise the governance layer, or the
     // golden stops guarding it: quota rejections AND evictions.
-    const ServiceStats stats = service.stats();
-    EXPECT_GE(stats.rateLimited, 2u);  // mallory-2, mallory-3.
-    EXPECT_GT(stats.answersEvicted, 0u);
-    EXPECT_LE(stats.answersCachedPeak, 4u);
-    EXPECT_EQ(stats.tenants.at("mallory").admitted, 1u);
-    EXPECT_EQ(stats.tenants.at("mallory").rejectedRate, 2u);
-    EXPECT_EQ(stats.tenants.at("eve").admitted, 1u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    // mallory-2, mallory-3.
+    EXPECT_GE(stats.counter("serve.rate_limited"), 2u);
+    EXPECT_GT(stats.counter("serve.answers.evicted"), 0u);
+    EXPECT_LE(stats.counter("serve.answers.peak"), 4u);
+    EXPECT_EQ(stats.counter("serve.tenant.mallory.admitted"), 1u);
+    EXPECT_EQ(stats.counter("serve.tenant.mallory.rejected_rate"), 2u);
+    EXPECT_EQ(stats.counter("serve.tenant.eve.admitted"), 1u);
 }
 
 }  // namespace

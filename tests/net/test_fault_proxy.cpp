@@ -127,11 +127,14 @@ TEST(FaultProxy, TransparentModeForwardsByteExact)
         EXPECT_EQ(back.value(), line);
     }
 
+    // The proxy counts forwarded bytes only after each write returns,
+    // so the client can read its last echo before the count lands:
+    // read the counters once stop() has joined the loop.
+    proxy.stop();
     const FaultProxyStats stats = proxy.stats();
     EXPECT_EQ(stats.connectionsAccepted, 1u);
     EXPECT_EQ(stats.faultsInjected, 0u);
     EXPECT_EQ(stats.bytesClientToServer, stats.bytesServerToClient);
-    proxy.stop();
 }
 
 TEST(FaultProxy, SeededChunkingIsTransparentAndDeterministic)
@@ -178,11 +181,11 @@ TEST(FaultProxy, CloseFaultKillsAfterExactOffset)
     Result<std::string> back = client.value().ask("12345678");
     ASSERT_FALSE(back.ok());
 
+    proxy.stop();  // Joins the loop: the counters are final.
     const FaultProxyStats stats = proxy.stats();
     EXPECT_EQ(stats.faultsInjected, 1u);
     EXPECT_EQ(stats.connectionsKilled, 1u);
     EXPECT_EQ(stats.bytesClientToServer, 8u);
-    proxy.stop();
 }
 
 TEST(FaultProxy, StallWedgesAndClientTimeoutTurnsItTyped)
@@ -221,8 +224,8 @@ TEST(FaultProxy, StallWedgesAndClientTimeoutTurnsItTyped)
     ASSERT_TRUE(released.ok()) << released.error().message;
     EXPECT_NE(released.value().find("\"ok\":true"), std::string::npos);
 
-    EXPECT_EQ(proxy.stats().faultsInjected, 1u);
     proxy.stop();
+    EXPECT_EQ(proxy.stats().faultsInjected, 1u);
     server.stop();
 }
 
@@ -252,8 +255,8 @@ TEST(FaultProxy, HalfCloseDeliversEofMidStream)
               std::string::npos)
         << second.error().message;
 
-    EXPECT_EQ(proxy.stats().faultsInjected, 1u);
     proxy.stop();
+    EXPECT_EQ(proxy.stats().faultsInjected, 1u);
 }
 
 TEST(FaultProxy, TruncateDiscardsSilently)
@@ -280,9 +283,9 @@ TEST(FaultProxy, TruncateDiscardsSilently)
     ASSERT_FALSE(second.ok());
     EXPECT_EQ(second.error().code, ErrorCode::Unavailable);
 
+    proxy.stop();
     EXPECT_EQ(proxy.stats().faultsInjected, 1u);
     EXPECT_EQ(proxy.stats().bytesClientToServer, 6u);
-    proxy.stop();
 }
 
 TEST(FaultProxy, BufferIsBoundedUnderAWedgedSink)
@@ -317,10 +320,10 @@ TEST(FaultProxy, BufferIsBoundedUnderAWedgedSink)
     }
     EXPECT_FALSE(client.value().recvLine().ok());  // All wedged.
 
+    proxy.stop();
     const FaultProxyStats stats = proxy.stats();
     EXPECT_LE(stats.peakBufferedBytes, 2048u);
     EXPECT_GT(stats.peakBufferedBytes, 0u);
-    proxy.stop();
     server.stop();
 }
 
@@ -368,7 +371,9 @@ TEST(FaultProxy, RouterThroughChunkingProxyStaysInOrder)
             << line.value();
     }
 
-    EXPECT_EQ(router.stats().shardFailures, 0u);
+    EXPECT_EQ(router.statsRegistry()->snapshot().counter(
+                  "router.shard_failures"),
+              0u);
     router.stop();
     proxy.stop();
     shard.stop();

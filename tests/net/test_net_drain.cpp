@@ -84,11 +84,14 @@ TEST(NetDrain, DeadlineForceClosesAStalledPeer)
     // Wait until everything is admitted and the write side is wedged
     // (some answers flushed into the kernel buffers, the rest can't).
     ASSERT_TRUE(eventually([&server, kRequests] {
-        return server.service().stats().requests ==
+        return server.statsRegistry()->snapshot().counter(
+                   "serve.requests") ==
                static_cast<std::uint64_t>(kRequests);
     }));
-    ASSERT_TRUE(eventually(
-        [&server] { return server.stats().responses >= 1; }));
+    ASSERT_TRUE(eventually([&server] {
+        return server.statsRegistry()->snapshot().counter(
+                   "net.responses") >= 1;
+    }));
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     server.requestStop();
@@ -96,12 +99,16 @@ TEST(NetDrain, DeadlineForceClosesAStalledPeer)
     // server must still be draining, not dropping the connection.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     EXPECT_FALSE(server.stopped());
-    EXPECT_EQ(server.stats().forcedClosed, 0u);
+    EXPECT_EQ(
+        server.statsRegistry()->snapshot().counter("net.forced_closed"),
+        0u);
 
     // Cross the deadline. The 20ms stop-phase poll tick notices.
     now->store(501.0);
     ASSERT_TRUE(eventually([&server] { return server.stopped(); }));
-    EXPECT_GE(server.stats().forcedClosed, 1u);
+    EXPECT_GE(
+        server.statsRegistry()->snapshot().counter("net.forced_closed"),
+        1u);
     server.stop();
 }
 
@@ -127,7 +134,8 @@ TEST(NetDrain, DeadlineSparesPeersThatDrain)
     // Stop only once everything is admitted: a stop request halts
     // reading, and unread input would be dropped (by design).
     ASSERT_TRUE(eventually([&server, kRequests] {
-        return server.service().stats().requests ==
+        return server.statsRegistry()->snapshot().counter(
+                   "serve.requests") ==
                static_cast<std::uint64_t>(kRequests);
     }));
     server.requestStop();
@@ -144,8 +152,9 @@ TEST(NetDrain, DeadlineSparesPeersThatDrain)
     ASSERT_TRUE(eventually([&server] { return server.stopped(); }));
     // Nobody owed bytes once the client read them: no forced closes,
     // all answers intact.
-    EXPECT_EQ(server.stats().forcedClosed, 0u);
-    EXPECT_EQ(server.stats().responses,
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("net.forced_closed"), 0u);
+    EXPECT_EQ(stats.counter("net.responses"),
               static_cast<std::uint64_t>(kRequests));
     server.stop();
 }

@@ -28,6 +28,7 @@
 #include "common/logging.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "stats_rows.hpp"
 
 #ifndef FTSIM_SOURCE_DIR
 #error "FTSIM_SOURCE_DIR must point at the repo root (set by CMake)"
@@ -106,11 +107,12 @@ TEST(NetE2E, GoldenOutputIsByteExactOverASocket)
 
     // The socket hop preserved the governance behavior, and the
     // service counted this connection's traffic under its label.
-    const ServiceStats stats = server.service().stats();
-    EXPECT_GE(stats.rateLimited, 2u);
-    EXPECT_GT(stats.answersEvicted, 0u);
-    ASSERT_EQ(stats.sources.size(), 1u);
-    EXPECT_EQ(stats.sources.begin()->second.requests, sent);
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_GE(stats.counter("serve.rate_limited"), 2u);
+    EXPECT_GT(stats.counter("serve.answers.evicted"), 0u);
+    const auto sources = statRows(stats, "serve.source.", "requests");
+    ASSERT_EQ(sources.size(), 1u);
+    EXPECT_EQ(sources.begin()->second, sent);
     server.stop();
 }
 
@@ -160,17 +162,19 @@ TEST(NetE2E, ThunderingHerdAcrossConnectionsSimulatesDistinctOnce)
         }
     }
 
-    const ServiceStats stats = server.service().stats();
-    EXPECT_EQ(stats.stepsSimulated, 3u);
-    EXPECT_EQ(stats.requests,
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.steps_simulated"), 3u);
+    EXPECT_EQ(stats.counter("serve.requests"),
               static_cast<std::uint64_t>(kConnections) * probes.size());
-    EXPECT_EQ(stats.executed, probes.size());
-    EXPECT_EQ(stats.coalesced, stats.requests - stats.executed);
+    EXPECT_EQ(stats.counter("serve.executed"), probes.size());
+    EXPECT_EQ(stats.counter("serve.coalesced"),
+              stats.counter("serve.requests") -
+                  stats.counter("serve.executed"));
     // One stats bucket per connection, each counting its 4 requests.
-    EXPECT_EQ(stats.sources.size(),
-              static_cast<std::size_t>(kConnections));
-    for (const auto& [label, row] : stats.sources)
-        EXPECT_EQ(row.requests, probes.size()) << label;
+    const auto sources = statRows(stats, "serve.source.", "requests");
+    EXPECT_EQ(sources.size(), static_cast<std::size_t>(kConnections));
+    for (const auto& [label, requests] : sources)
+        EXPECT_EQ(requests, probes.size()) << label;
     server.stop();
 }
 
@@ -201,7 +205,9 @@ TEST(NetE2E, MalformedLinePoisonsOnlyItsConnection)
     EXPECT_EQ(other.value(),
               R"({"id":"b","query":"max_batch","ok":true,"value":4})");
 
-    EXPECT_EQ(server.stats().protocolErrors, 1u);
+    EXPECT_EQ(
+        server.statsRegistry()->snapshot().counter("net.protocol_errors"),
+        1u);
     server.stop();
 }
 
@@ -227,8 +233,8 @@ TEST(NetE2E, OversizedLineAnswersProtocolErrorAndConnectionSurvives)
     EXPECT_EQ(after.value(),
               R"({"id":"ok","query":"max_batch","ok":true,"value":4})");
 
-    const NetServerStats stats = server.stats();
-    EXPECT_EQ(stats.oversizedLines, 1u);
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("net.oversized_lines"), 1u);
     server.stop();
 }
 
@@ -271,7 +277,7 @@ TEST(NetE2E, GracefulStopDrainsInflightAnswers)
     // Wait until the loop has *admitted* the request before stopping,
     // so the test exercises "drain in-flight", not "reject unread
     // input" (requests is bumped at submission).
-    while (server.service().stats().requests < 1)
+    while (server.statsRegistry()->snapshot().counter("serve.requests") == 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     server.requestStop();
 
@@ -331,8 +337,6 @@ TEST(NetE2E, StatsQueryScrapesTheLiveRegistryOverTheWire)
         << again.value();
 
     server.stop();
-    // The legacy stats struct is a view over the same cells.
-    EXPECT_EQ(server.stats().requests, 4u);
     EXPECT_EQ(server.statsRegistry()->snapshot().counter(
                   "net.requests"),
               4u);
@@ -354,7 +358,9 @@ TEST(NetE2E, IdleTimeoutReapsQuietConnections)
     // idle reaper's doing, not an error.
     Result<std::string> eof = client.recvLine();
     EXPECT_FALSE(eof.ok());
-    EXPECT_EQ(server.stats().idleClosed, 1u);
+    EXPECT_EQ(
+        server.statsRegistry()->snapshot().counter("net.idle_closed"),
+        1u);
     server.stop();
 }
 

@@ -89,9 +89,10 @@ TEST(NetWireE2E, BinaryAnswersMatchTheJsonPathByteForByte)
     EXPECT_EQ(writePlanResponse(answer.response), jsonAnswer.value());
 
     server.stop();
-    EXPECT_EQ(server.stats().binaryRequests, 1u);
-    EXPECT_EQ(server.stats().requests, 2u);
-    EXPECT_EQ(server.stats().wirePoisoned, 0u);
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("net.wire.requests"), 1u);
+    EXPECT_EQ(stats.counter("net.requests"), 2u);
+    EXPECT_EQ(stats.counter("net.wire.poisoned"), 0u);
 }
 
 TEST(NetWireE2E, MixedFormatsInterleaveOnOneConnection)
@@ -130,8 +131,9 @@ TEST(NetWireE2E, MixedFormatsInterleaveOnOneConnection)
               first.value().payload);
 
     server.stop();
-    EXPECT_EQ(server.stats().requests, 4u);
-    EXPECT_EQ(server.stats().binaryRequests, 2u);
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("net.requests"), 4u);
+    EXPECT_EQ(stats.counter("net.wire.requests"), 2u);
 }
 
 TEST(NetWireE2E, SemanticErrorsKeepTheConnectionAlive)
@@ -180,8 +182,9 @@ TEST(NetWireE2E, SemanticErrorsKeepTheConnectionAlive)
     EXPECT_TRUE(alive.response.ok);
 
     server.stop();
-    EXPECT_EQ(server.stats().wirePoisoned, 0u);
-    EXPECT_EQ(server.stats().protocolErrors, 2u);
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("net.wire.poisoned"), 0u);
+    EXPECT_EQ(stats.counter("net.protocol_errors"), 2u);
 }
 
 /** Framing damage: one final error frame, then the connection dies —
@@ -219,7 +222,9 @@ expectPoisonKillsConnection(const std::string& hostileBytes,
     EXPECT_EQ(writePlanResponse(bin.response), json.value());
 
     server.stop();
-    EXPECT_EQ(server.stats().wirePoisoned, 1u);
+    EXPECT_EQ(
+        server.statsRegistry()->snapshot().counter("net.wire.poisoned"),
+        1u);
 }
 
 TEST(NetWireE2E, BadVersionPoisonsOnlyItsConnection)
@@ -272,8 +277,9 @@ TEST(NetWireE2E, TruncatedFrameAnswersAnErrorAtEof)
     EXPECT_FALSE(client.recvFrame().ok());
 
     server.stop();
-    EXPECT_EQ(server.stats().wirePoisoned, 1u);
-    EXPECT_EQ(server.stats().requests, 0u);
+    const StatsSnapshot stats = server.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("net.wire.poisoned"), 1u);
+    EXPECT_EQ(stats.counter("net.requests"), 0u);
 }
 
 TEST(NetWireE2E, LiveQueriesWorkInBinary)

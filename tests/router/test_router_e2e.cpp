@@ -155,21 +155,24 @@ TEST(Router, FleetAnswersByteIdenticalToSingleService)
     // The fleet coalesced like one service: across both shards,
     // exactly distinct-config-many steps ran, and every duplicate
     // coalesced on its shard (6 identities executed, 18 asked).
+    const StatsSnapshot shard0 = fleet.shard(0).statsRegistry()->snapshot();
+    const StatsSnapshot shard1 = fleet.shard(1).statsRegistry()->snapshot();
     const std::uint64_t fleetSteps =
-        fleet.shard(0).service().stats().stepsSimulated +
-        fleet.shard(1).service().stats().stepsSimulated;
-    EXPECT_EQ(fleetSteps, reference.stats().stepsSimulated);
+        shard0.counter("serve.steps_simulated") +
+        shard1.counter("serve.steps_simulated");
+    EXPECT_EQ(fleetSteps, reference.statsRegistry()->snapshot().counter(
+                              "serve.steps_simulated"));
     EXPECT_EQ(fleetSteps, 5u);
-    EXPECT_EQ(fleet.shard(0).service().stats().executed +
-                  fleet.shard(1).service().stats().executed,
+    EXPECT_EQ(shard0.counter("serve.executed") +
+                  shard1.counter("serve.executed"),
               6u);
 
     // Duplicates landed on one shard each: every identity routed to
     // exactly the shard the ring names.
-    const RouterStats stats = fleet.router().stats();
-    EXPECT_EQ(stats.forwarded, requests.size());
-    EXPECT_EQ(stats.responses, requests.size());
-    EXPECT_EQ(stats.shardFailures, 0u);
+    const StatsSnapshot stats = fleet.router().statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.forwarded"), requests.size());
+    EXPECT_EQ(stats.counter("router.responses"), requests.size());
+    EXPECT_EQ(stats.counter("router.shard_failures"), 0u);
 }
 
 TEST(Router, FleetQueryIsAnsweredByTheRouter)
@@ -184,10 +187,11 @@ TEST(Router, FleetQueryIsAnsweredByTheRouter)
     EXPECT_NE(line.value().find("shards=2"), std::string::npos);
     EXPECT_NE(line.value().find("alive=2"), std::string::npos);
 
-    const RouterStats stats = fleet.router().stats();
-    EXPECT_EQ(stats.fleetQueries, 1u);
-    EXPECT_EQ(stats.forwarded, 0u);  // Never left the router.
-    EXPECT_EQ(stats.shardsAlive, 2u);
+    const StatsSnapshot stats = fleet.router().statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.fleet_queries"), 1u);
+    // Never left the router.
+    EXPECT_EQ(stats.counter("router.forwarded"), 0u);
+    EXPECT_EQ(stats.find("router.shards_alive")->value, 2.0);
 }
 
 TEST(Router, StatsQueryAggregatesEveryShardWithRouterNamespace)
@@ -223,10 +227,10 @@ TEST(Router, StatsQueryAggregatesEveryShardWithRouterNamespace)
     EXPECT_NE(line.find("\"serve.executed\":"), std::string::npos);
     EXPECT_NE(line.find("\"router.shard."), std::string::npos);
 
-    const RouterStats stats = fleet.router().stats();
-    EXPECT_EQ(stats.statsQueries, 1u);
-    EXPECT_EQ(stats.forwarded, requests.size());
-    EXPECT_EQ(stats.shardFailures, 0u);
+    const StatsSnapshot stats = fleet.router().statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.stats_queries"), 1u);
+    EXPECT_EQ(stats.counter("router.forwarded"), requests.size());
+    EXPECT_EQ(stats.counter("router.shard_failures"), 0u);
 
     // value = number of shard pieces gathered.
     EXPECT_NE(line.find("\"value\":2"), std::string::npos) << line;
@@ -250,7 +254,9 @@ TEST(Router, MalformedLinePoisonsOnlyItself)
     Result<std::string> good = client.ask(writePlanRequest(req));
     ASSERT_TRUE(good.ok());
     EXPECT_NE(good.value().find("\"ok\":true"), std::string::npos);
-    EXPECT_EQ(fleet.router().stats().protocolErrors, 1u);
+    EXPECT_EQ(fleet.router().statsRegistry()->snapshot().counter(
+                  "router.protocol_errors"),
+              1u);
 }
 
 TEST(Router, DeadShardFailsOnlyItsRequestsAndSurvivorsKeepServing)
@@ -335,22 +341,22 @@ TEST(Router, DeadShardFailsOnlyItsRequestsAndSurvivorsKeepServing)
             << line.value();
     }
 
-    const RouterStats stats = router.stats();
-    EXPECT_EQ(stats.retried, doomed);
-    EXPECT_EQ(stats.shardFailures, 0u);
-    EXPECT_EQ(stats.shardsAlive, 1u);
-    ASSERT_EQ(stats.shards.size(), 2u);
-    EXPECT_TRUE(stats.shards[0].alive);
-    EXPECT_FALSE(stats.shards[1].alive);
-    // Healing is off by default: the dead shard is terminal Down.
-    EXPECT_EQ(stats.shards[1].state, ShardState::Down);
-    EXPECT_EQ(stats.shards[1].dialAttempts, 0u);
+    const StatsSnapshot stats = router.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.retried"), doomed);
+    EXPECT_EQ(stats.counter("router.shard_failures"), 0u);
+    EXPECT_EQ(stats.find("router.shards_alive")->value, 1.0);
+    EXPECT_EQ(stats.find("router.shard.shard-real.alive")->value, 1.0);
+    EXPECT_EQ(stats.find("router.shard.shard-fake.alive")->value, 0.0);
+    EXPECT_EQ(stats.counter("router.shard.shard-fake.dials"), 0u);
 
-    // And the fleet view reports the death.
+    // And the fleet view reports the death. Healing is off by default:
+    // the dead shard is terminal down.
     Result<std::string> fleetLine =
         client.ask("{\"query\":\"fleet\"}");
     ASSERT_TRUE(fleetLine.ok());
     EXPECT_NE(fleetLine.value().find("alive=1"), std::string::npos);
+    EXPECT_NE(fleetLine.value().find("shard-fake=down"), std::string::npos)
+        << fleetLine.value();
 
     router.stop();
     real.stop();
@@ -397,7 +403,9 @@ TEST(Router, NoLiveShardsAnswersUnavailableWholesale)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     EXPECT_TRUE(sawUnavailable);
-    EXPECT_EQ(router.stats().shardsAlive, 0u);
+    EXPECT_EQ(
+        router.statsRegistry()->snapshot().find("router.shards_alive")->value,
+        0.0);
 
     router.stop();
 }

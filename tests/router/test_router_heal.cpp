@@ -169,7 +169,8 @@ TEST(RouterHeal, KilledShardRejoinsWarmAndAnswersStayByteIdentical)
     for (const PlanRequest& req : requests)
         ASSERT_TRUE(client.sendLine(writePlanRequest(req)).ok());
     ASSERT_TRUE(eventually(5000.0, [&] {
-        return router.stats().forwarded == 2 * requests.size();
+        return router.statsRegistry()->snapshot().counter(
+                   "router.forwarded") == 2 * requests.size();
     })) << "the router never forwarded the second batch";
     // Stop the old worker first so heal dials cannot reach it, then
     // cut the live link: the router sees a mid-pipeline death with
@@ -191,17 +192,18 @@ TEST(RouterHeal, KilledShardRejoinsWarmAndAnswersStayByteIdentical)
     ASSERT_TRUE(shardB2.start().ok());
     proxy.setTarget("127.0.0.1", shardB2.port());
     ASSERT_TRUE(eventually(5000.0, [&] {
-        return router.stats().healed == 1;
+        return router.statsRegistry()->snapshot().counter(
+                   "router.healed") == 1;
     })) << "shard-b never healed";
 
-    const RouterStats healedStats = router.stats();
-    EXPECT_EQ(healedStats.shardsAlive, 2u);
-    EXPECT_EQ(healedStats.shards[1].state, ShardState::Alive);
-    EXPECT_EQ(healedStats.shards[1].heals, 1u);
-    EXPECT_GE(healedStats.shards[1].dialAttempts, 1u);
-    EXPECT_GE(healedStats.lastHealMs, 0.0);
-    EXPECT_EQ(healedStats.shardFailures, 0u);
-    EXPECT_EQ(healedStats.retried, doomed);
+    const StatsSnapshot healedStats = router.statsRegistry()->snapshot();
+    EXPECT_EQ(healedStats.find("router.shards_alive")->value, 2.0);
+    EXPECT_EQ(healedStats.find("router.shard.shard-b.alive")->value, 1.0);
+    EXPECT_EQ(healedStats.counter("router.shard.shard-b.heals"), 1u);
+    EXPECT_GE(healedStats.counter("router.shard.shard-b.dials"), 1u);
+    EXPECT_GE(healedStats.find("router.last_heal_ms")->value, 0.0);
+    EXPECT_EQ(healedStats.counter("router.shard_failures"), 0u);
+    EXPECT_EQ(healedStats.counter("router.retried"), doomed);
 
     // Every fleet-seen config replays byte-identically through the
     // healed fleet — and the rejoined shard compiled nothing: its
@@ -277,11 +279,11 @@ TEST(RouterHeal, WedgedShardTripsDeadlineAndRequestsFailOver)
             << line.value();
     }
 
-    const RouterStats stats = router.stats();
-    EXPECT_EQ(stats.deadlineExpired, 1u);
-    EXPECT_GT(stats.retried, 0u);
-    EXPECT_EQ(stats.shardFailures, 0u);
-    EXPECT_FALSE(stats.shards[1].alive);
+    const StatsSnapshot stats = router.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.deadline_expired"), 1u);
+    EXPECT_GT(stats.counter("router.retried"), 0u);
+    EXPECT_EQ(stats.counter("router.shard_failures"), 0u);
+    EXPECT_EQ(stats.find("router.shard.shard-fake.alive")->value, 0.0);
 
     router.stop();
     real.stop();
@@ -326,9 +328,13 @@ TEST(RouterHeal, ReconnectBackoffIsExponentialOnTheInjectedClock)
     fakeListener.value().close();
     fakeUpstream.close();
 
-    auto dials = [&] { return router.stats().shards[1].dialAttempts; };
+    const std::string fake = "router.shard.shard-fake.";
+    auto dials = [&] {
+        return router.statsRegistry()->snapshot().counter(fake + "dials");
+    };
     ASSERT_TRUE(eventually(2000.0, [&] {
-        return !router.stats().shards[1].alive;
+        return router.statsRegistry()->snapshot().find(fake + "alive")
+                   ->value == 0.0;
     }));
 
     // Death at t≈0 arms the first dial at t=100. Virtual time stands
@@ -411,9 +417,9 @@ TEST(RouterHeal, RetryBudgetZeroRestoresFailFast)
         }
     }
     EXPECT_GT(doomed, 0u);
-    const RouterStats stats = router.stats();
-    EXPECT_EQ(stats.shardFailures, doomed);
-    EXPECT_EQ(stats.retried, 0u);
+    const StatsSnapshot stats = router.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.shard_failures"), doomed);
+    EXPECT_EQ(stats.counter("router.retried"), 0u);
 
     router.stop();
     real.stop();

@@ -133,9 +133,9 @@ TEST(RouterWire, BinaryAnswersThroughTheFleetMatchTheJsonPath)
 
     // The duplicate-heavy mix coalesces identically in both passes:
     // the fleet simulated the distinct configs once per pass.
-    EXPECT_EQ(fleet.router().stats().forwarded,
-              2 * requests.size());
-    EXPECT_EQ(fleet.router().stats().protocolErrors, 0u);
+    const StatsSnapshot stats = fleet.router().statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.forwarded"), 2 * requests.size());
+    EXPECT_EQ(stats.counter("router.protocol_errors"), 0u);
 }
 
 TEST(RouterWire, MixedFormatsShareOneRouterConnection)
@@ -240,8 +240,9 @@ TEST(RouterWire, UndecodableFrameIsAnsweredNotForwarded)
     ASSERT_TRUE(answer.ok()) << answer.error().message;
     EXPECT_TRUE(answer.value().binary);
 
-    EXPECT_EQ(fleet.router().stats().forwarded, 1u);
-    EXPECT_EQ(fleet.router().stats().protocolErrors, 1u);
+    const StatsSnapshot stats = fleet.router().statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("router.forwarded"), 1u);
+    EXPECT_EQ(stats.counter("router.protocol_errors"), 1u);
 }
 
 TEST(RouterWire, FramingDamageKillsOnlyThatClientConnection)

@@ -13,11 +13,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/planner.hpp"
 #include "serve/plan_service.hpp"
+#include "stats_rows.hpp"
 
 namespace ftsim {
 namespace {
@@ -32,6 +36,44 @@ throughputRequest(const std::string& gpu,
     req.scenario = scenario;
     return req;
 }
+
+/**
+ * A ServiceConfig::clock that parks the service's workers until
+ * open(). A worker reads the clock after answering and before it
+ * releases the execution's tenant slots, so until open() every
+ * admitted request holds its slot however fast it computes — the
+ * inflight tests do not race the worker. Threads other than the one
+ * that built the gate (the test's submitting thread) never wait.
+ * Open it before the service is destroyed: the pool joins its workers.
+ */
+class WorkerGate {
+  public:
+    std::function<double()> clock()
+    {
+        return [this] {
+            if (std::this_thread::get_id() != owner_) {
+                std::unique_lock<std::mutex> lock(mutex_);
+                opened_.wait(lock, [this] { return open_; });
+            }
+            return 0.0;
+        };
+    }
+
+    void open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            open_ = true;
+        }
+        opened_.notify_all();
+    }
+
+  private:
+    const std::thread::id owner_ = std::this_thread::get_id();
+    std::mutex mutex_;
+    std::condition_variable opened_;
+    bool open_ = false;
+};
 
 TEST(PlanService, ThunderingHerdSimulatesEachDistinctConfigOnce)
 {
@@ -79,19 +121,21 @@ TEST(PlanService, ThunderingHerdSimulatesEachDistinctConfigOnce)
     for (std::thread& tenant : tenants)
         tenant.join();
 
-    const ServiceStats stats = service.stats();
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
     // The acceptance assertion: duplicate-heavy concurrent load
     // simulates only the distinct configurations.
-    EXPECT_EQ(stats.stepsSimulated, 3u);
-    EXPECT_EQ(stats.requests,
+    EXPECT_EQ(stats.counter("serve.steps_simulated"), 3u);
+    EXPECT_EQ(stats.counter("serve.requests"),
               static_cast<std::uint64_t>(kTenants * probes.size()) +
                   kGreedySubmits);
-    EXPECT_EQ(stats.executed, probes.size());
-    EXPECT_EQ(stats.rateLimited, kGreedySubmits - 2);
-    EXPECT_EQ(stats.coalesced,
-              stats.requests - stats.executed - stats.rateLimited);
+    EXPECT_EQ(stats.counter("serve.executed"), probes.size());
+    EXPECT_EQ(stats.counter("serve.rate_limited"), kGreedySubmits - 2);
+    EXPECT_EQ(stats.counter("serve.coalesced"),
+              stats.counter("serve.requests") -
+                  stats.counter("serve.executed") -
+                  stats.counter("serve.rate_limited"));
     // Two scenarios -> two planners, every other request reused one.
-    EXPECT_EQ(stats.plannersCreated, 2u);
+    EXPECT_EQ(stats.counter("serve.planners.created"), 2u);
 
     // Every tenant got the same (successful) answers.
     for (int t = 0; t < kTenants; ++t) {
@@ -116,12 +160,12 @@ TEST(PlanService, ThunderingHerdSimulatesEachDistinctConfigOnce)
             EXPECT_EQ(greedy_answers[i].errorCode, "RateLimited");
         }
     }
-    const auto greedy = stats.tenants.find("greedy");
-    ASSERT_NE(greedy, stats.tenants.end());
-    EXPECT_EQ(greedy->second.admitted, 2u);
-    EXPECT_EQ(greedy->second.rejectedRate, kGreedySubmits - 2);
-    EXPECT_EQ(greedy->second.rejectedInflight, 0u);
-    EXPECT_EQ(greedy->second.inflight, 0u);
+    ASSERT_NE(stats.find("serve.tenant.greedy.admitted"), nullptr);
+    EXPECT_EQ(stats.counter("serve.tenant.greedy.admitted"), 2u);
+    EXPECT_EQ(stats.counter("serve.tenant.greedy.rejected_rate"),
+              kGreedySubmits - 2);
+    EXPECT_EQ(stats.counter("serve.tenant.greedy.rejected_inflight"), 0u);
+    EXPECT_EQ(stats.counter("serve.tenant.greedy.inflight"), 0u);
 }
 
 TEST(PlanService, AnswersMatchADirectPlanner)
@@ -156,11 +200,11 @@ TEST(PlanService, SharesOnePlannerAcrossQueryKinds)
     ASSERT_TRUE(service.ask(table).ok);
     ASSERT_TRUE(service.ask(cheapest).ok);
 
-    const ServiceStats stats = service.stats();
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
     // Same scenario -> one planner; the later kinds reused it (and
     // its step cache: the A40 max-batch profile simulated once).
-    EXPECT_EQ(stats.plannersCreated, 1u);
-    EXPECT_EQ(stats.plannerReuses, 2u);
+    EXPECT_EQ(stats.counter("serve.planners.created"), 1u);
+    EXPECT_EQ(stats.counter("serve.planners.reuses"), 2u);
 }
 
 TEST(PlanService, RegistrySharesPlansAcrossPlanners)
@@ -174,11 +218,11 @@ TEST(PlanService, RegistrySharesPlansAcrossPlanners)
         service.ask(throughputRequest("A40", Scenario::commonsense15k()))
             .ok);
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.plannersCreated, 2u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.planners.created"), 2u);
     // Both probes plan sparse Mixtral with checkpointing: one shape.
-    EXPECT_EQ(stats.plansCompiled, 1u);
-    EXPECT_GE(stats.planRegistryHits, 1u);
+    EXPECT_EQ(stats.counter("serve.plans.compiled"), 1u);
+    EXPECT_GE(stats.counter("serve.plans.registry_hits"), 1u);
     EXPECT_EQ(service.planRegistry()->plansCompiled(), 1u);
 }
 
@@ -195,8 +239,9 @@ TEST(PlanService, CoalescedFutureCarriesBlankIdAndAskRestoresIt)
     PlanResponse bobs = service.ask(second);
     EXPECT_EQ(bobs.id, "bob");
     EXPECT_EQ(bobs.value, shared.value);
-    EXPECT_EQ(service.stats().executed, 1u);
-    EXPECT_EQ(service.stats().coalesced, 1u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.executed"), 1u);
+    EXPECT_EQ(stats.counter("serve.coalesced"), 1u);
 }
 
 TEST(PlanService, RateOverridesPriceUnpricedGpus)
@@ -219,7 +264,9 @@ TEST(PlanService, RateOverridesPriceUnpricedGpus)
     EXPECT_EQ(with.rows[1].gpuName, "A100-40GB");
     EXPECT_DOUBLE_EQ(with.rows[1].dollarsPerHour, 1.20);
     // Different rates -> different planner identity (no false share).
-    EXPECT_EQ(service.stats().plannersCreated, 2u);
+    EXPECT_EQ(service.statsRegistry()->snapshot().counter(
+                  "serve.planners.created"),
+              2u);
 }
 
 TEST(PlanService, SurfacesDomainErrorsAsResponses)
@@ -255,9 +302,10 @@ TEST(PlanService, StatsExposeLatencyQuantiles)
 {
     PlanService service;
     ASSERT_TRUE(service.ask(throughputRequest("A40")).ok);
-    const ServiceStats stats = service.stats();
-    EXPECT_GT(stats.p99LatencyMs, 0.0);
-    EXPECT_LE(stats.p50LatencyMs, stats.p99LatencyMs);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_GT(stats.find("serve.latency_ms.p99")->value, 0.0);
+    EXPECT_LE(stats.find("serve.latency_ms.p50")->value,
+              stats.find("serve.latency_ms.p99")->value);
 }
 
 // ---- ISSUE-4 resource governance ------------------------------------
@@ -278,27 +326,31 @@ TEST(PlanService, EvictedAnswerRecomputesIdenticallyAndResimulates)
 
     const PlanResponse first = service.ask(a);
     ASSERT_TRUE(first.ok);
-    EXPECT_EQ(service.stats().stepsSimulated, 1u);
+    EXPECT_EQ(service.statsRegistry()->snapshot().counter(
+                  "serve.steps_simulated"),
+              1u);
 
     ASSERT_TRUE(service.ask(b).ok);  // Evicts a's answer AND planner.
-    EXPECT_EQ(service.stats().stepsSimulated, 2u);
+    EXPECT_EQ(service.statsRegistry()->snapshot().counter(
+                  "serve.steps_simulated"),
+              2u);
 
     const PlanResponse again = service.ask(a);
     ASSERT_TRUE(again.ok);
     EXPECT_EQ(again.value, first.value);  // Eviction never changes answers.
 
-    const ServiceStats stats = service.stats();
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
     // The recomputation is real work: a third simulation (the planner
     // holding a's step cache was evicted too), not a coalesced hit.
-    EXPECT_EQ(stats.stepsSimulated, 3u);
-    EXPECT_EQ(stats.executed, 3u);
-    EXPECT_EQ(stats.coalesced, 0u);
-    EXPECT_EQ(stats.answersEvicted, 2u);
-    EXPECT_EQ(stats.plannersEvicted, 2u);
-    EXPECT_EQ(stats.plannersCreated, 3u);
-    EXPECT_EQ(stats.answersCached, 1u);
-    EXPECT_EQ(stats.answersCachedPeak, 1u);
-    EXPECT_LE(stats.plannersCached, 1u);
+    EXPECT_EQ(stats.counter("serve.steps_simulated"), 3u);
+    EXPECT_EQ(stats.counter("serve.executed"), 3u);
+    EXPECT_EQ(stats.counter("serve.coalesced"), 0u);
+    EXPECT_EQ(stats.counter("serve.answers.evicted"), 2u);
+    EXPECT_EQ(stats.counter("serve.planners.evicted"), 2u);
+    EXPECT_EQ(stats.counter("serve.planners.created"), 3u);
+    EXPECT_EQ(stats.counter("serve.answers.cached"), 1u);
+    EXPECT_EQ(stats.counter("serve.answers.peak"), 1u);
+    EXPECT_LE(stats.counter("serve.planners.cached"), 1u);
 }
 
 TEST(PlanService, CachedAnswersStillCoalesceWithinCapacity)
@@ -317,11 +369,11 @@ TEST(PlanService, CachedAnswersStillCoalesceWithinCapacity)
     ASSERT_TRUE(second.ok);
     EXPECT_EQ(second.value, first.value);
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.executed, 1u);
-    EXPECT_EQ(stats.coalesced, 1u);
-    EXPECT_EQ(stats.stepsSimulated, 1u);
-    EXPECT_EQ(stats.answersEvicted, 0u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.executed"), 1u);
+    EXPECT_EQ(stats.counter("serve.coalesced"), 1u);
+    EXPECT_EQ(stats.counter("serve.steps_simulated"), 1u);
+    EXPECT_EQ(stats.counter("serve.answers.evicted"), 0u);
 }
 
 TEST(PlanService, CapacityOneServiceAnswersConcurrentHerdCorrectly)
@@ -369,16 +421,19 @@ TEST(PlanService, CapacityOneServiceAnswersConcurrentHerdCorrectly)
         }
     }
 
-    const ServiceStats stats = service.stats();
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
     // Everyone answered: nothing lost to eviction...
-    EXPECT_EQ(stats.requests,
+    EXPECT_EQ(stats.counter("serve.requests"),
               static_cast<std::uint64_t>(kThreads * kRounds) *
                   probes.size());
-    EXPECT_EQ(stats.coalesced + stats.executed, stats.requests);
+    EXPECT_EQ(stats.counter("serve.coalesced") +
+                  stats.counter("serve.executed"),
+              stats.counter("serve.requests"));
     // ...and the capacity bound held at every instant.
-    EXPECT_EQ(stats.answersCachedPeak, 1u);
-    EXPECT_LE(stats.answersCached, 1u);
-    EXPECT_GE(stats.stepsSimulated, 2u);  // Distinct configs at least.
+    EXPECT_EQ(stats.counter("serve.answers.peak"), 1u);
+    EXPECT_LE(stats.counter("serve.answers.cached"), 1u);
+    // Distinct configs at least.
+    EXPECT_GE(stats.counter("serve.steps_simulated"), 2u);
 }
 
 TEST(PlanService, TokenBucketRejectsPerTenantIndependently)
@@ -425,36 +480,39 @@ TEST(PlanService, TokenBucketRejectsPerTenantIndependently)
     for (int i = 200; i < 210; ++i)
         EXPECT_TRUE(service.ask(probe(i)).ok);
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.rateLimited, 3u);
-    EXPECT_EQ(stats.tenants.at("alice").admitted, 2u);
-    EXPECT_EQ(stats.tenants.at("alice").rejectedRate, 3u);
-    EXPECT_EQ(stats.tenants.at("bob").admitted, 1u);
-    EXPECT_EQ(stats.tenants.at("bob").rejectedRate, 0u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.rate_limited"), 3u);
+    EXPECT_EQ(stats.counter("serve.tenant.alice.admitted"), 2u);
+    EXPECT_EQ(stats.counter("serve.tenant.alice.rejected_rate"), 3u);
+    EXPECT_EQ(stats.counter("serve.tenant.bob.admitted"), 1u);
+    EXPECT_EQ(stats.counter("serve.tenant.bob.rejected_rate"), 0u);
 }
 
 TEST(PlanService, InflightGateCapsConcurrentRequestsPerTenant)
 {
-    // One worker, inflight limit 1: the first (slow, report-sized)
-    // request occupies the tenant's only slot; duplicates submitted
-    // while it runs are rejected, and the slot frees once it answers.
+    // One worker, inflight limit 1: the first request occupies the
+    // tenant's only slot (the gate holds its execution open); requests
+    // submitted meanwhile are rejected, and the slot frees once it
+    // answers.
+    WorkerGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantMaxInflight = 1;
+    config.clock = gate.clock();
     PlanService service(config);
 
     PlanRequest heavy;
-    heavy.query = QueryKind::Report;  // Sweep + fits: >> submit cost.
+    heavy.query = QueryKind::Report;
     heavy.gpu = "A40";
     heavy.tenant = "carol";
 
     std::shared_future<PlanResponse> slow = service.submit(heavy);
 
-    // Submitted microseconds into a report-sized execution: the slot
-    // is still held, so a second (distinct) request bounces.
+    // The slot is still held, so a second (distinct) request bounces.
     PlanRequest second = throughputRequest("A40");
     second.tenant = "carol";
     const PlanResponse bounced = service.submit(second).get();
+    gate.open();
     EXPECT_FALSE(bounced.ok);
     EXPECT_EQ(bounced.errorCode, "RateLimited");
 
@@ -464,11 +522,11 @@ TEST(PlanService, InflightGateCapsConcurrentRequestsPerTenant)
     PlanRequest retry = heavy;
     EXPECT_TRUE(service.ask(retry).ok);
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.tenants.at("carol").rejectedInflight, 1u);
-    EXPECT_EQ(stats.tenants.at("carol").admitted, 2u);
-    EXPECT_EQ(stats.tenants.at("carol").inflight, 0u);
-    EXPECT_EQ(stats.rateLimited, 1u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.tenant.carol.rejected_inflight"), 1u);
+    EXPECT_EQ(stats.counter("serve.tenant.carol.admitted"), 2u);
+    EXPECT_EQ(stats.counter("serve.tenant.carol.inflight"), 0u);
+    EXPECT_EQ(stats.counter("serve.rate_limited"), 1u);
 }
 
 TEST(PlanService, CoalescedDuplicatesHoldInflightSlotsUntilAnswered)
@@ -476,9 +534,11 @@ TEST(PlanService, CoalescedDuplicatesHoldInflightSlotsUntilAnswered)
     // Duplicates coalesce onto one execution but each admitted copy
     // holds its own tenant slot until the shared answer resolves —
     // otherwise a tenant could multiply pressure through duplicates.
+    WorkerGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantMaxInflight = 2;
+    config.clock = gate.clock();
     PlanService service(config);
 
     PlanRequest heavy;
@@ -489,15 +549,18 @@ TEST(PlanService, CoalescedDuplicatesHoldInflightSlotsUntilAnswered)
     std::shared_future<PlanResponse> first = service.submit(heavy);
     std::shared_future<PlanResponse> duplicate = service.submit(heavy);
     const PlanResponse third = service.submit(heavy).get();
+    gate.open();
     EXPECT_FALSE(third.ok);  // Two slots held by the shared execution.
     EXPECT_EQ(third.errorCode, "RateLimited");
 
     EXPECT_TRUE(first.get().ok);
     EXPECT_TRUE(duplicate.get().ok);
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.tenants.at("dave").inflight, 0u);
-    EXPECT_EQ(stats.tenants.at("dave").rejectedInflight, 1u);
-    EXPECT_EQ(stats.executed, 1u);  // Still one execution.
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    ASSERT_NE(stats.find("serve.tenant.dave.inflight"), nullptr);
+    EXPECT_EQ(stats.counter("serve.tenant.dave.inflight"), 0u);
+    EXPECT_EQ(stats.counter("serve.tenant.dave.rejected_inflight"), 1u);
+    // Still one execution.
+    EXPECT_EQ(stats.counter("serve.executed"), 1u);
 }
 
 TEST(PlanService, TenantTableIsBoundedUnderNameRotation)
@@ -515,23 +578,25 @@ TEST(PlanService, TenantTableIsBoundedUnderNameRotation)
         req.tenant = strCat("rotating-", i);
         EXPECT_TRUE(service.ask(req).ok);  // Idle olds evict fine.
     }
-    const ServiceStats stats = service.stats();
-    EXPECT_LE(stats.tenants.size(), 2u);
-    EXPECT_EQ(stats.rateLimited, 0u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_LE(statRows(stats, "serve.tenant.", "admitted").size(), 2u);
+    EXPECT_EQ(stats.counter("serve.rate_limited"), 0u);
 }
 
 TEST(PlanService, FullTenantTableOfBusyTenantsRejectsNewNames)
 {
     // When every tracked tenant has work in flight, there is nothing
     // safe to evict: a fresh name is rejected instead of tracked.
+    WorkerGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantRps = 1e9;
     config.maxTenants = 1;
+    config.clock = gate.clock();
     PlanService service(config);
 
     PlanRequest heavy;
-    heavy.query = QueryKind::Report;  // Holds its slot while running.
+    heavy.query = QueryKind::Report;  // Holds its slot until the gate.
     heavy.gpu = "A40";
     heavy.tenant = "resident";
     std::shared_future<PlanResponse> slow = service.submit(heavy);
@@ -539,15 +604,17 @@ TEST(PlanService, FullTenantTableOfBusyTenantsRejectsNewNames)
     PlanRequest newcomer = throughputRequest("A40");
     newcomer.tenant = "newcomer";
     const PlanResponse bounced = service.submit(newcomer).get();
+    gate.open();
     EXPECT_FALSE(bounced.ok);
     EXPECT_EQ(bounced.errorCode, "RateLimited");
 
     EXPECT_TRUE(slow.get().ok);
     // Resident is idle now: the newcomer takes its slot.
     EXPECT_TRUE(service.ask(newcomer).ok);
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.tenants.size(), 1u);
-    EXPECT_EQ(stats.tenants.count("newcomer"), 1u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    const auto tenants = statRows(stats, "serve.tenant.", "admitted");
+    EXPECT_EQ(tenants.size(), 1u);
+    EXPECT_EQ(tenants.count("newcomer"), 1u);
 }
 
 TEST(PlanService, ExecutionThrowBecomesAnErrorResponseNotAPoisonedKey)
@@ -579,11 +646,12 @@ TEST(PlanService, ExecutionThrowBecomesAnErrorResponseNotAPoisonedKey)
     EXPECT_FALSE(again.ok);
     EXPECT_EQ(again.errorCode, first.errorCode);
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.tenants.at("edgar").inflight, 0u);
-    EXPECT_EQ(stats.executed, 2u);
-    EXPECT_EQ(stats.coalesced, 0u);
-    EXPECT_EQ(stats.rateLimited, 0u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    ASSERT_NE(stats.find("serve.tenant.edgar.inflight"), nullptr);
+    EXPECT_EQ(stats.counter("serve.tenant.edgar.inflight"), 0u);
+    EXPECT_EQ(stats.counter("serve.executed"), 2u);
+    EXPECT_EQ(stats.counter("serve.coalesced"), 0u);
+    EXPECT_EQ(stats.counter("serve.rate_limited"), 0u);
 
     // And the service keeps serving healthy requests afterwards.
     EXPECT_TRUE(service.ask(throughputRequest("A40")).ok);
@@ -632,10 +700,10 @@ TEST(PlanService, TokenBucketRefillsOnTheInjectedClock)
     EXPECT_TRUE(service.ask(probe(5)).ok);
     EXPECT_EQ(service.ask(probe(6)).errorCode, "RateLimited");
 
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.tenants.at("alice").admitted, 3u);
-    EXPECT_EQ(stats.tenants.at("alice").rejectedRate, 4u);
-    EXPECT_EQ(stats.rateLimited, 4u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.tenant.alice.admitted"), 3u);
+    EXPECT_EQ(stats.counter("serve.tenant.alice.rejected_rate"), 4u);
+    EXPECT_EQ(stats.counter("serve.rate_limited"), 4u);
 }
 
 TEST(PlanService, SourcesBucketSubmissionsPerConnectionLabel)
@@ -665,17 +733,19 @@ TEST(PlanService, SourcesBucketSubmissionsPerConnectionLabel)
     service.submit(probe, options);
     EXPECT_EQ(notified.load(), 2);
 
-    const ServiceStats stats = service.stats();
-    ASSERT_EQ(stats.sources.size(), 1u);
-    const SourceStats& row =
-        stats.sources.at("127.0.0.1:9999#1");
-    EXPECT_EQ(row.requests, 2u);
-    EXPECT_EQ(row.coalesced, 1u);
-    EXPECT_EQ(row.rateLimited, 0u);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    ASSERT_EQ(statRows(stats, "serve.source.", "requests").size(), 1u);
+    const std::string row = "serve.source.127.0.0.1:9999#1.";
+    EXPECT_EQ(stats.counter(row + "requests"), 2u);
+    EXPECT_EQ(stats.counter(row + "coalesced"), 1u);
+    EXPECT_EQ(stats.counter(row + "rate_limited"), 0u);
 
     // An unlabeled submission stays untracked.
     service.ask(throughputRequest("H100"));
-    EXPECT_EQ(service.stats().sources.size(), 1u);
+    EXPECT_EQ(statRows(service.statsRegistry()->snapshot(),
+                       "serve.source.", "requests")
+                  .size(),
+              1u);
 }
 
 TEST(PlanService, QuotasDisabledByDefaultEvenForTenantedRequests)
@@ -686,9 +756,10 @@ TEST(PlanService, QuotasDisabledByDefaultEvenForTenantedRequests)
         req.tenant = "free";
         EXPECT_TRUE(service.ask(req).ok);
     }
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.rateLimited, 0u);
-    EXPECT_TRUE(stats.tenants.empty());  // No tracking when disabled.
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    EXPECT_EQ(stats.counter("serve.rate_limited"), 0u);
+    // No tracking when disabled.
+    EXPECT_TRUE(statRows(stats, "serve.tenant.", "admitted").empty());
 }
 
 TEST(PlanService, LoadSnapshotWarmsTheRegistryWithoutCompiling)
@@ -745,25 +816,53 @@ TEST(PlanService, StatsQueryIsLiveNeverCoalescedAndRegistryBacked)
 
     // Live contract: identical scrapes are answered fresh — never
     // cached, never coalesced — and each counts as executed.
-    const ServiceStats before = service.stats();
+    const StatsSnapshot before = service.statsRegistry()->snapshot();
     const PlanResponse second = service.ask(scrape);
     ASSERT_TRUE(second.ok);
-    const ServiceStats after = service.stats();
-    EXPECT_EQ(after.coalesced, before.coalesced);
-    EXPECT_EQ(after.executed, before.executed + 1);
+    const StatsSnapshot after = service.statsRegistry()->snapshot();
+    EXPECT_EQ(after.counter("serve.coalesced"),
+              before.counter("serve.coalesced"));
+    EXPECT_EQ(after.counter("serve.executed"),
+              before.counter("serve.executed") + 1);
+    EXPECT_GT(after.counter("planner.step_cache_misses"), 0u);
     // The second scrape observed the first in its own counters.
     EXPECT_GT(second.value, 0.0);
+}
 
-    // ServiceStats is a view over the same registry cells: the
-    // pinned counters and the scrape must agree exactly once the
-    // service is quiet.
-    const StatsSnapshot snap = service.statsRegistry()->snapshot();
-    EXPECT_EQ(snap.counter("serve.requests"), after.requests);
-    EXPECT_EQ(snap.counter("serve.executed"), after.executed);
-    EXPECT_EQ(snap.counter("serve.coalesced"), after.coalesced);
-    EXPECT_GT(snap.counter("planner.step_cache_misses"), 0u);
-    EXPECT_EQ(snap.counter("serve.steps_simulated"),
-              after.stepsSimulated);
+TEST(PlanService, FleetAnswerPinsTheShardLedgerLine)
+{
+    // The shard `fleet` answer is what the router and the fleet bench
+    // read over the wire; pin its value and report bytes for a fixed
+    // serial history: three distinct questions, a duplicate, one
+    // admitted tenant request and its quota rejection.
+    ServiceConfig config;
+    config.tenantRps = 1e-9;  // Burst-only: 1 admitted, then reject.
+    config.tenantBurst = 1.0;
+    PlanService service(config);
+    ASSERT_TRUE(service.ask(throughputRequest("A40")).ok);
+    ASSERT_TRUE(service.ask(throughputRequest("H100")).ok);
+    PlanRequest max_batch;
+    max_batch.query = QueryKind::MaxBatch;
+    max_batch.gpu = "A40";
+    ASSERT_TRUE(service.ask(max_batch).ok);
+    ASSERT_TRUE(service.ask(throughputRequest("A40")).ok);  // Duplicate.
+    PlanRequest tenanted =
+        throughputRequest("A40", Scenario::commonsense15k());
+    tenanted.tenant = "t";
+    ASSERT_TRUE(service.ask(tenanted).ok);
+    EXPECT_EQ(service.ask(tenanted).errorCode, "RateLimited");
+
+    PlanRequest fleet;
+    fleet.query = QueryKind::Fleet;
+    const PlanResponse answer = service.ask(fleet);
+    ASSERT_TRUE(answer.ok) << answer.errorMessage;
+    // Three distinct throughput probes simulate a step each; every
+    // probe plans sparse Mixtral, so one step-plan shape compiles.
+    EXPECT_EQ(answer.value, 3.0);
+    EXPECT_EQ(answer.report,
+              "requests=7 executed=5 coalesced=1 rate_limited=1 "
+              "steps_simulated=3 plans_compiled=1 plans_loaded=0 "
+              "answers_cached=4");
 }
 
 TEST(PlanService, LoadSnapshotRejectsHostileBytesTyped)
