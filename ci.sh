@@ -332,6 +332,20 @@ done
   | diff -u <(head -n "$UNGOVERNED_LINES" \
               tests/integration/golden_serve_e2e.jsonl) -
 kill -TERM "$HEAL_ROUTER_PID" "$HEAL2_PID"
+# Bounded wait: a router stuck reaping its respawned child fails CI
+# with its log instead of hanging it.
+for _ in $(seq 1 200); do
+  kill -0 "$HEAL_ROUTER_PID" "$HEAL2_PID" 2> /dev/null || break
+  sleep 0.1
+done
+if kill -0 "$HEAL_ROUTER_PID" 2> /dev/null \
+   || kill -0 "$HEAL2_PID" 2> /dev/null; then
+  echo "ci.sh: healing fleet still running 20 s after SIGTERM"
+  cat "$HEAL_ROUTER_LOG"
+  pkill -KILL -P "$HEAL_ROUTER_PID" || true
+  kill -KILL "$HEAL_ROUTER_PID" "$HEAL2_PID" 2> /dev/null || true
+  exit 1
+fi
 wait "$HEAL_ROUTER_PID" && wait "$HEAL2_PID"   # Router reaps its child.
 trap - EXIT
 echo "ci.sh: kill -9 shard healed via respawn + warm rejoin, answers stayed golden"

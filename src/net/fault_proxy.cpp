@@ -1,16 +1,12 @@
 #include "net/fault_proxy.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <mutex>
-#include <poll.h>
 #include <random>
 #include <sys/socket.h>
-#include <unistd.h>
 #include <vector>
 
-#include "common/logging.hpp"
-#include "net/socket.hpp"
+#include "net/event_loop.hpp"
 
 namespace ftsim {
 
@@ -27,8 +23,8 @@ flowIndex(FaultDirection direction)
 
 }  // namespace
 
-/** Poll-loop internals; forwarding state is loop-thread-owned, the
- *  controls cross via controlMutex + the wake pipe, stats via
+/** Loop internals; forwarding state is loop-thread-owned, the
+ *  controls cross via controlMutex + the loop's wake, stats via
  *  atomics. */
 struct FaultProxy::Impl {
     /** One forwarded direction of a link. */
@@ -53,39 +49,12 @@ struct FaultProxy::Impl {
         bool faultFired = false;
         Flow flow[2];
         std::mt19937_64 rng;
+        /** Watch index of the client fd this round (the upstream's is
+         *  the next one); kUnwatched if accepted this round. */
+        std::size_t watch = EventLoop::kUnwatched;
     };
 
-    explicit Impl(FaultProxyConfig cfg) : config(std::move(cfg))
-    {
-        int fds[2] = {-1, -1};
-        if (::pipe(fds) != 0)
-            fatal("FaultProxy: cannot create wake pipe");
-        setNonBlocking(fds[0]);
-        setNonBlocking(fds[1]);
-        wakeRead = fds[0];
-        wakeWrite = fds[1];
-    }
-
-    ~Impl()
-    {
-        if (wakeRead >= 0)
-            ::close(wakeRead);
-        if (wakeWrite >= 0)
-            ::close(wakeWrite);
-    }
-
-    void wake()
-    {
-        const char byte = 1;
-        [[maybe_unused]] ssize_t n = ::write(wakeWrite, &byte, 1);
-    }
-
-    void drainWakePipe()
-    {
-        char buf[256];
-        while (::read(wakeRead, buf, sizeof(buf)) > 0) {
-        }
-    }
+    explicit Impl(FaultProxyConfig cfg) : config(std::move(cfg)) {}
 
     void fireFault(Link& link)
     {
@@ -242,10 +211,8 @@ struct FaultProxy::Impl {
         }
     }
 
-    void loop()
+    void run()
     {
-        std::vector<pollfd> fds;
-        std::vector<Link*> polled;
         while (true) {
             FaultScript script;
             std::string host;
@@ -263,7 +230,7 @@ struct FaultProxy::Impl {
                 for (auto& link : links)
                     killLink(*link, true);
             }
-            if (stopRequested.load())
+            if (loop.stopRequested())
                 break;
 
             for (auto it = links.begin(); it != links.end();) {
@@ -277,11 +244,10 @@ struct FaultProxy::Impl {
             }
             linksOpen.store(links.size());
 
-            fds.clear();
-            polled.clear();
-            fds.push_back({wakeRead, POLLIN, 0});
-            if (listener.valid())
-                fds.push_back({listener.fd(), POLLIN, 0});
+            const bool listening = listener.valid();
+            std::size_t listenerWatch = 0;
+            if (listening)
+                listenerWatch = loop.watch(listener.fd(), POLLIN);
             for (auto& linkPtr : links) {
                 Link& link = *linkPtr;
                 short clientEvents = 0;
@@ -306,30 +272,21 @@ struct FaultProxy::Impl {
                         !stalled(link, kC2S, script))
                         upstreamEvents |= POLLOUT;
                 }
-                fds.push_back({link.client.fd(), clientEvents, 0});
-                fds.push_back({link.upstream.fd(), upstreamEvents, 0});
-                polled.push_back(linkPtr.get());
+                link.watch = loop.watch(link.client.fd(), clientEvents);
+                loop.watch(link.upstream.fd(), upstreamEvents);
             }
 
-            const int rc = ::poll(fds.data(),
-                                  static_cast<nfds_t>(fds.size()), -1);
-            if (rc < 0 && errno != EINTR)
-                fatal("FaultProxy: poll() failed");
+            loop.poll(-1);
 
-            std::size_t index = 0;
-            if (fds[index].revents & POLLIN)
-                drainWakePipe();
-            ++index;
-            if (listener.valid()) {
-                if (fds[index].revents & POLLIN)
-                    acceptPending(host, port);
-                ++index;
-            }
-            for (std::size_t l = 0; l < polled.size();
-                 ++l, index += 2) {
-                Link& link = *polled[l];
-                const short clientRe = fds[index].revents;
-                const short upstreamRe = fds[index + 1].revents;
+            if (listening && (loop.revents(listenerWatch) & POLLIN))
+                acceptPending(host, port);
+            for (auto& linkPtr : links) {
+                Link& link = *linkPtr;
+                if (link.watch == EventLoop::kUnwatched)
+                    continue;
+                const short clientRe = loop.revents(link.watch);
+                const short upstreamRe = loop.revents(link.watch + 1);
+                link.watch = EventLoop::kUnwatched;
                 if (clientRe & (POLLERR | POLLNVAL)) {
                     killLink(link, false);
                     continue;
@@ -395,9 +352,8 @@ struct FaultProxy::Impl {
     }
 
     FaultProxyConfig config;
+    EventLoop loop;
     TcpListener listener;
-    int wakeRead = -1;
-    int wakeWrite = -1;
 
     std::mutex controlMutex;
     FaultScript currentScript;   ///< Guarded by controlMutex.
@@ -406,7 +362,6 @@ struct FaultProxy::Impl {
     std::uint64_t killGeneration = 0;  ///< Guarded by controlMutex.
     std::uint64_t killGenSeen = 0;     ///< Loop-thread only.
 
-    std::atomic<bool> stopRequested{false};
     std::vector<std::unique_ptr<Link>> links;
 
     std::atomic<std::uint64_t> accepted{0};
@@ -438,7 +393,7 @@ FaultProxy::start()
     if (!listener)
         return listener.error();
     impl_->listener = std::move(listener.value());
-    loop_thread_ = std::thread([this] { impl_->loop(); });
+    loop_thread_ = std::thread([this] { impl_->run(); });
     return true;
 }
 
@@ -451,8 +406,7 @@ FaultProxy::port() const
 void
 FaultProxy::stop()
 {
-    impl_->stopRequested.store(true);
-    impl_->wake();
+    impl_->loop.requestStop();
     if (loop_thread_.joinable())
         loop_thread_.join();
 }
@@ -464,7 +418,7 @@ FaultProxy::setFault(const FaultScript& script)
         std::lock_guard<std::mutex> lock(impl_->controlMutex);
         impl_->currentScript = script;
     }
-    impl_->wake();
+    impl_->loop.wake();
 }
 
 void
@@ -481,7 +435,7 @@ FaultProxy::setTarget(const std::string& host, std::uint16_t port)
         impl_->targetHost = host;
         impl_->targetPort = port;
     }
-    impl_->wake();
+    impl_->loop.wake();
 }
 
 void
@@ -491,7 +445,7 @@ FaultProxy::killConnections()
         std::lock_guard<std::mutex> lock(impl_->controlMutex);
         ++impl_->killGeneration;
     }
-    impl_->wake();
+    impl_->loop.wake();
 }
 
 FaultProxyStats

@@ -6,17 +6,17 @@
  * The network front end: a poll-based TCP server over the
  * `PlanService` JSON-lines protocol.
  *
- * `NetServer` owns one `TcpListener`, one in-process `PlanService`,
- * and a single poll(2) event loop. Connections are non-blocking;
- * requests are framed by `WireFramer` (see net/framing.hpp), which
- * negotiates per frame between the JSON-lines codec and the binary
- * wire format of serve/wire.hpp — a frame opening with 0xF7 is
- * binary, anything else is a JSON line, and each response is written
- * in its request's format. Frames are parsed/decoded and submitted
- * to the service with a per-connection source label and a completion
- * callback that kicks the loop's wake pipe. Responses are written
- * back **per connection in request order** — answers compute out of
- * order across the worker pool, but each connection's pending queue
+ * `NetServer` owns one in-process `PlanService`, an `EventLoop` (see
+ * net/event_loop.hpp) and a `ClientFrontEnd` (see net/front_end.hpp).
+ * The front end does all client-side work shared with the router:
+ * accepting, framing (a frame opening with 0xF7 is a binary frame of
+ * serve/wire.hpp, anything else a JSON line; each response is written
+ * in its request's format), protocol errors, write-back **per
+ * connection in request order**, the idle timeout and the drain. The
+ * policy `NetServer` adds is one handler: each decoded request is
+ * submitted to the service with a per-connection source label and a
+ * completion callback that wakes the loop. Answers compute out of
+ * order across the worker pool; each connection's answer queue
  * re-sequences them, exactly like `ftsim_serve` re-sequences a file.
  *
  * Error containment mirrors the in-process service:
@@ -150,7 +150,7 @@ class NetServer {
     const std::shared_ptr<StatsRegistry>& statsRegistry() const;
 
   private:
-    struct Impl;  ///< Poll loop internals (connections live here).
+    struct Impl;  ///< Loop, front end and service.
     std::unique_ptr<Impl> impl_;
     std::thread loop_thread_;
     std::atomic<bool> loop_done_{false};

@@ -1,18 +1,15 @@
 #include "router/router.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <deque>
 #include <map>
-#include <poll.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/logging.hpp"
-#include "net/framing.hpp"
-#include "net/socket.hpp"
+#include "net/front_end.hpp"
 #include "router/hash_ring.hpp"
 #include "serve/protocol.hpp"
 #include "serve/wire.hpp"
@@ -25,19 +22,15 @@ namespace {
  *  are far larger than any request. */
 constexpr std::size_t kMaxShardLineBytes = 1 << 26;
 
-/** Blank lines are not requests (mirrors NetServer / ftsim_serve). */
-bool
-isBlank(const std::string& line)
+/** Client connections: no idle timeout, no drain deadline. */
+FrontEndSettings
+frontEndSettings(const RouterConfig& config)
 {
-    return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-double
-monotonicMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+    FrontEndSettings settings;
+    settings.prefix = "router";
+    settings.maxConnections = config.maxConnections;
+    settings.maxLineBytes = config.maxLineBytes;
+    return settings;
 }
 
 /** Where a shard is in its death/heal lifecycle (see router.hpp). */
@@ -65,8 +58,8 @@ shardStateName(ShardState state)
 
 }  // namespace
 
-/** Poll-loop internals: every member is loop-thread-owned except the
- *  stop flag, the wake pipe's write end, and the atomics. */
+/** Loop-thread state; the loop's stop flag and wake pipe, and the
+ *  atomics, are the only members other threads touch. */
 struct RouterServer::Impl {
     /**
      * One answer owed to a client, shared between the client
@@ -86,7 +79,7 @@ struct RouterServer::Impl {
      */
     struct StatsGather;
 
-    struct Slot {
+    struct Slot : ClientAnswer {
         /** Who consumes the answer. */
         enum class Purpose {
             Client,         ///< A client connection's pending queue.
@@ -95,12 +88,8 @@ struct RouterServer::Impl {
             StatsFetch,     ///< Scrape: `stats` probe for a gather.
         };
 
-        std::string id;
         QueryKind query = QueryKind::MaxBatch;
         Purpose purpose = Purpose::Client;
-        /** The request arrived as a binary frame; its answer (shard
-         *  bytes or router-composed) goes back binary too. */
-        bool binary = false;
         /** The original request bytes, byte-verbatim — a JSON line
          *  (no terminator) or a complete binary frame — the failover
          *  replay payload. */
@@ -119,10 +108,6 @@ struct RouterServer::Impl {
          *  the shard name its piece files under. */
         std::shared_ptr<StatsGather> gather;
         std::string shardName;
-        bool ready = false;
-        /** The response bytes once ready: a JSON line (no
-         *  terminator) or a complete binary frame. */
-        std::string line;
     };
 
     /**
@@ -141,27 +126,6 @@ struct RouterServer::Impl {
         std::size_t awaited = 0;
     };
 
-    /** One open client connection (the NetServer per-conn shape). */
-    struct Conn {
-        Connection socket;
-        WireFramer framer;
-        std::deque<std::shared_ptr<Slot>> pending;
-        std::string out;
-        std::size_t outOff = 0;
-        bool inputClosed = false;
-        bool closeAfterFlush = false;
-        bool dead = false;
-
-        Conn(Connection s, std::size_t max_line)
-            : socket(std::move(s)), framer(max_line)
-        {
-        }
-
-        bool flushed() const { return outOff >= out.size(); }
-
-        bool drained() const { return pending.empty() && flushed(); }
-    };
-
     /** One upstream shard, its persistent pipelined connection, and
      *  its death/heal lifecycle state. */
     struct Shard {
@@ -172,8 +136,9 @@ struct RouterServer::Impl {
          *  answers per connection in request order, so each response
          *  line fills the front slot — no correlation ids needed. */
         std::deque<std::shared_ptr<Slot>> outstanding;
-        std::string out;
-        std::size_t outOff = 0;
+        OutBuffer out;
+        /** This round's watch index; kUnwatched when not polled. */
+        std::size_t watch = EventLoop::kUnwatched;
         std::atomic<ShardState> state{ShardState::Down};
         std::atomic<std::uint64_t> routed{0};
         std::atomic<std::uint64_t> dialAttempts{0};
@@ -194,8 +159,6 @@ struct RouterServer::Impl {
         {
         }
 
-        bool flushed() const { return outOff >= out.size(); }
-
         /** The socket carries protocol traffic (vs. dialing/dead). */
         bool active() const
         {
@@ -209,13 +172,14 @@ struct RouterServer::Impl {
           stats(config.statsRegistry
                     ? config.statsRegistry
                     : std::make_shared<StatsRegistry>()),
+          loop(config.clock),
+          front(frontEndSettings(config), loop, *stats,
+                [this](const std::string&, PlanRequest& request,
+                       WireFramer::Frame& frame) {
+                    return route(request, frame);
+                }),
           ring(config.virtualNodes),
-          accepted(stats->counter("router.conn.accepted")),
-          closed(stats->counter("router.conn.closed")),
           forwarded(stats->counter("router.forwarded")),
-          responses(stats->counter("router.responses")),
-          protocolErrors(stats->counter("router.protocol_errors")),
-          oversized(stats->counter("router.oversized_lines")),
           shardFailures(stats->counter("router.shard_failures")),
           retried(stats->counter("router.retried")),
           deadlineExpired(stats->counter("router.deadline_expired")),
@@ -226,13 +190,6 @@ struct RouterServer::Impl {
           lastHealMs(stats->gauge("router.last_heal_ms"))
     {
         lastHealMs.set(-1.0);
-        int fds[2] = {-1, -1};
-        if (::pipe(fds) != 0)
-            fatal("RouterServer: cannot create wake pipe");
-        setNonBlocking(fds[0]);
-        setNonBlocking(fds[1]);
-        wakeRead = fds[0];
-        wakeWrite = fds[1];
         for (ShardEndpoint endpoint : config.shards) {
             if (endpoint.name.empty())
                 endpoint.name =
@@ -248,14 +205,7 @@ struct RouterServer::Impl {
             });
     }
 
-    ~Impl()
-    {
-        stats->removeProvider(statsProvider);
-        if (wakeRead >= 0)
-            ::close(wakeRead);
-        if (wakeWrite >= 0)
-            ::close(wakeWrite);
-    }
+    ~Impl() { stats->removeProvider(statsProvider); }
 
     /** Per-shard health rows, contributed to every snapshot. */
     void publishShardRows(StatsRegistry::Sink& sink) const
@@ -275,26 +225,6 @@ struct RouterServer::Impl {
         }
         sink.gauge("router.shards_alive",
                    static_cast<double>(alive));
-    }
-
-    double clockMs() const
-    {
-        return config.clock ? config.clock() : monotonicMs();
-    }
-
-    /** Async-signal-safe (one non-blocking write; EAGAIN = a wake is
-     *  already pending). */
-    void wake()
-    {
-        const char byte = 1;
-        [[maybe_unused]] ssize_t n = ::write(wakeWrite, &byte, 1);
-    }
-
-    void drainWakePipe()
-    {
-        char buf[256];
-        while (::read(wakeRead, buf, sizeof(buf)) > 0) {
-        }
     }
 
     Result<bool> connectShards()
@@ -329,15 +259,6 @@ struct RouterServer::Impl {
         return true;
     }
 
-    /** Readies @p slot with a router-composed response, encoded in
-     *  the request's wire format. */
-    void finishSlot(Slot& slot, const PlanResponse& response)
-    {
-        slot.line = slot.binary ? encodeResponseFrame(response)
-                                : writePlanResponse(response);
-        slot.ready = true;
-    }
-
     /** Fills @p slot with a typed error response — the only answers
      *  the router composes (everything else is shard bytes). */
     void answerError(Slot& slot, ErrorCode code, std::string message)
@@ -345,7 +266,7 @@ struct RouterServer::Impl {
         PlanRequest request;
         request.id = slot.id;
         request.query = slot.query;
-        finishSlot(slot, errorResponse(
+        slot.complete(errorResponse(
                              request, Error{code, std::move(message)}));
     }
 
@@ -354,9 +275,9 @@ struct RouterServer::Impl {
      *  heal deadline their caller stamped. */
     void enqueueSlot(Shard& shard, const std::shared_ptr<Slot>& slot)
     {
-        shard.out += slot->requestLine;
+        shard.out.append(slot->requestLine);
         if (!slot->binary)
-            shard.out += '\n';  // Binary frames self-delimit.
+            shard.out.append("\n");  // Binary frames self-delimit.
         ++slot->attempts;
         // Client and stats-scrape slots get a fresh per-attempt
         // deadline (a wedged shard must not hang a scrape either);
@@ -365,7 +286,7 @@ struct RouterServer::Impl {
             slot->purpose == Slot::Purpose::StatsFetch)
             slot->deadlineAt =
                 config.requestDeadlineMs > 0.0
-                    ? clockMs() + config.requestDeadlineMs
+                    ? loop.nowMs() + config.requestDeadlineMs
                     : 0.0;
         shard.outstanding.push_back(slot);
     }
@@ -413,7 +334,6 @@ struct RouterServer::Impl {
         shard.state.store(ShardState::Down);
         shard.socket.close();
         shard.out.clear();
-        shard.outOff = 0;
         shard.framer = WireFramer(kMaxShardLineBytes);
         ring.removeShard(index);
         std::deque<std::shared_ptr<Slot>> orphans;
@@ -463,7 +383,7 @@ struct RouterServer::Impl {
                 ? config.reconnectBackoffMs
                 : std::min(shard.backoffMs * 2.0,
                            config.reconnectBackoffMaxMs);
-        shard.nextDialAtMs = clockMs() + shard.backoffMs;
+        shard.nextDialAtMs = loop.nowMs() + shard.backoffMs;
         shard.state.store(ShardState::Backoff);
     }
 
@@ -478,7 +398,6 @@ struct RouterServer::Impl {
             return;
         shard.socket.close();
         shard.out.clear();
-        shard.outOff = 0;
         shard.outstanding.clear();  // Unacked warm pushes, ours only.
         ++shard.healGen;
         shard.snapshots.clear();
@@ -498,7 +417,7 @@ struct RouterServer::Impl {
             return;
         }
         shard.socket = std::move(conn.value());
-        shard.healDeadlineMs = clockMs() + config.healTimeoutMs;
+        shard.healDeadlineMs = loop.nowMs() + config.healTimeoutMs;
         shard.state.store(ShardState::Connecting);
     }
 
@@ -513,7 +432,6 @@ struct RouterServer::Impl {
     {
         shard.framer = WireFramer(kMaxShardLineBytes);
         shard.out.clear();
-        shard.outOff = 0;
         shard.outstanding.clear();
         ++shard.healGen;
         shard.snapshots.clear();
@@ -545,7 +463,7 @@ struct RouterServer::Impl {
         shard.backoffMs = 0.0;
         shard.heals.fetch_add(1);
         healed.inc();
-        lastHealMs.set(clockMs());
+        lastHealMs.set(loop.nowMs());
     }
 
     /**
@@ -613,21 +531,39 @@ struct RouterServer::Impl {
             completeHeal(target, slot.healTarget);
     }
 
-    /** fork/execs `respawnCommand --host H --port P` to replace a
-     *  dead shard on its own endpoint (the supervisor mode). */
+    /**
+     * Spawns `respawnCommand --host H --port P` to replace a dead shard
+     * on its own endpoint (the supervisor mode). The child starts with
+     * SIGTERM/SIGINT at their defaults and no signal blocked: a
+     * shutdown SIGTERM that reached a fork+exec child before its exec
+     * would run the router's inherited handler instead, leaving the
+     * child serving forever and the reap in waitpid hanging.
+     */
     void spawnReplacement(const Shard& shard)
     {
         const std::string port = std::to_string(shard.endpoint.port);
-        const pid_t pid = ::fork();
-        if (pid < 0)
+        const char* argv[] = {config.respawnCommand.c_str(), "--host",
+                              shard.endpoint.host.c_str(), "--port",
+                              port.c_str(), nullptr};
+        sigset_t defaults;
+        sigemptyset(&defaults);
+        sigaddset(&defaults, SIGTERM);
+        sigaddset(&defaults, SIGINT);
+        sigset_t none;
+        sigemptyset(&none);
+        posix_spawnattr_t attr;
+        posix_spawnattr_init(&attr);
+        posix_spawnattr_setsigdefault(&attr, &defaults);
+        posix_spawnattr_setsigmask(&attr, &none);
+        posix_spawnattr_setflags(
+            &attr, POSIX_SPAWN_SETSIGDEF | POSIX_SPAWN_SETSIGMASK);
+        pid_t pid = -1;
+        const int rc = ::posix_spawn(&pid, argv[0], nullptr, &attr,
+                                     const_cast<char* const*>(argv),
+                                     environ);
+        posix_spawnattr_destroy(&attr);
+        if (rc != 0)
             return;  // Reconnect alone still heals a restarted shard.
-        if (pid == 0) {
-            ::execl(config.respawnCommand.c_str(),
-                    config.respawnCommand.c_str(), "--host",
-                    shard.endpoint.host.c_str(), "--port",
-                    port.c_str(), static_cast<char*>(nullptr));
-            ::_exit(127);  // Post-fork: only exec or die is safe.
-        }
         children.push_back(pid);
         respawned.inc();
     }
@@ -749,7 +685,7 @@ struct RouterServer::Impl {
         response.value =
             static_cast<double>(gather.pieces.size());
         response.statsJson = std::move(merged);
-        finishSlot(slot, response);
+        slot.complete(response);
     }
 
     // ---- Event handlers -----------------------------------------------
@@ -781,64 +717,17 @@ struct RouterServer::Impl {
                 shardStateName(shard->state.load()),
                 " routed=", shard->routed.load(),
                 " heals=", shard->heals.load());
-        finishSlot(slot, response);
+        slot.complete(response);
     }
 
-    /** A ready-at-enqueue protocol-error answer in @p binary format. */
-    void answerProtocolError(Conn& conn, bool binary,
-                             const std::string& message)
+    /**
+     * The front end's handler: answers `fleet` and `stats` itself and
+     * forwards everything else, byte-verbatim, to the ring owner of
+     * its canonical key.
+     */
+    std::shared_ptr<ClientAnswer> route(PlanRequest& request,
+                                        WireFramer::Frame& frame)
     {
-        protocolErrors.inc();
-        auto slot = std::make_shared<Slot>();
-        slot->binary = binary;
-        slot->line = binary
-                         ? encodeProtocolErrorFrame("", message)
-                         : writeProtocolError("", message);
-        slot->ready = true;
-        conn.pending.push_back(std::move(slot));
-    }
-
-    void handleFrame(Conn& conn, WireFramer::Frame& frame)
-    {
-        if (frame.overflow) {
-            oversized.inc();
-            answerProtocolError(conn, false,
-                                strCat("request line exceeds ",
-                                       config.maxLineBytes,
-                                       " bytes"));
-            return;
-        }
-        PlanRequest request;
-        if (frame.binary) {
-            // Decode locally even though the shard will decode again:
-            // the canonical key IS the routing decision, and a
-            // malformed frame must be answered here (there is no
-            // shard for it).
-            Result<WireMessage> decoded =
-                decodeWirePayload(frame.payload);
-            if (!decoded.ok()) {
-                answerProtocolError(conn, true,
-                                    decoded.error().message);
-                return;
-            }
-            if (decoded.value().type != WireMsg::Request) {
-                answerProtocolError(conn, true,
-                                    "expected a request frame");
-                return;
-            }
-            request = std::move(decoded.value().request);
-        } else {
-            if (isBlank(frame.payload))
-                return;
-            Result<PlanRequest> parsed =
-                parsePlanRequest(frame.payload);
-            if (!parsed) {
-                answerProtocolError(conn, false,
-                                    parsed.error().message);
-                return;
-            }
-            request = std::move(parsed.value());
-        }
         auto slot = std::make_shared<Slot>();
         slot->binary = frame.binary;
         slot->id = request.id;
@@ -847,15 +736,13 @@ struct RouterServer::Impl {
             // Intercepted: the fleet question is about the router's
             // view. (Ask a shard's own port for per-shard counters.)
             answerFleet(*slot);
-            conn.pending.push_back(std::move(slot));
-            return;
+            return slot;
         }
         if (slot->query == QueryKind::Stats) {
             // Intercepted: scatter-gathered across the fleet instead
             // of routed to one shard (see beginStatsGather).
             beginStatsGather(slot);
-            conn.pending.push_back(std::move(slot));
-            return;
+            return slot;
         }
         slot->key = request.canonicalKey();
         // Forward byte-verbatim in the request's own format: the
@@ -863,59 +750,19 @@ struct RouterServer::Impl {
         // could only risk perturbing the bytes the golden gate diffs.
         // Re-wrapping the binary payload in its 8-byte header is
         // deterministic — identical to the bytes the client sent.
-        slot->requestLine = frame.binary
-                                ? wireFrame(frame.payload)
-                                : std::move(frame.payload);
+        slot->requestLine = frame.binary ? wireFrame(frame.payload)
+                                         : std::move(frame.payload);
         const int target = ring.shardFor(slot->key);
         if (target < 0) {
             shardFailures.inc();
-            answerError(*slot, ErrorCode::Unavailable,
-                        "no live shards");
-            conn.pending.push_back(std::move(slot));
-            return;
+            answerError(*slot, ErrorCode::Unavailable, "no live shards");
+            return slot;
         }
         Shard& shard = *shards[static_cast<std::size_t>(target)];
         enqueueSlot(shard, slot);
         shard.routed.fetch_add(1);
         forwarded.inc();
-        conn.pending.push_back(std::move(slot));
-    }
-
-    void readClient(Conn& conn)
-    {
-        char buf[16384];
-        while (!conn.inputClosed && !conn.dead) {
-            const IoResult io = conn.socket.readSome(buf, sizeof(buf));
-            if (io.status == IoStatus::Ok) {
-                conn.framer.feed(buf, io.bytes);
-                WireFramer::Frame frame;
-                while (conn.framer.next(frame))
-                    handleFrame(conn, frame);
-                if (conn.framer.poisoned()) {
-                    // Binary framing damage kills the connection (one
-                    // final error frame first) — same containment as
-                    // the NetServer.
-                    answerProtocolError(
-                        conn, true,
-                        strCat("bad frame: ",
-                               conn.framer.poisonReason()));
-                    conn.inputClosed = true;
-                    conn.closeAfterFlush = true;
-                }
-            } else if (io.status == IoStatus::WouldBlock) {
-                break;
-            } else if (io.status == IoStatus::Eof) {
-                if (conn.framer.midBinaryFrame()) {
-                    answerProtocolError(
-                        conn, true,
-                        "bad frame: truncated frame at EOF");
-                }
-                conn.inputClosed = true;
-                conn.closeAfterFlush = true;
-            } else {
-                conn.dead = true;
-            }
-        }
+        return slot;
     }
 
     void readShard(Shard& shard, std::size_t index)
@@ -936,7 +783,7 @@ struct RouterServer::Impl {
                                     "answered an oversized line");
                         return;
                     }
-                    if (!frame.binary && isBlank(frame.payload))
+                    if (!frame.binary && isBlankLine(frame.payload))
                         continue;
                     if (shard.outstanding.empty()) {
                         shardBroken(shard, index,
@@ -956,7 +803,7 @@ struct RouterServer::Impl {
                         return;
                     }
                     if (slot->purpose == Slot::Purpose::Client) {
-                        slot->line =
+                        slot->bytes =
                             frame.binary
                                 ? wireFrame(frame.payload)
                                 : std::move(frame.payload);
@@ -988,75 +835,14 @@ struct RouterServer::Impl {
 
     void flushShard(Shard& shard, std::size_t index)
     {
-        while (shard.active() && !shard.flushed()) {
-            const IoResult io = shard.socket.writeSome(
-                shard.out.data() + shard.outOff,
-                shard.out.size() - shard.outOff);
-            if (io.status == IoStatus::Ok) {
-                shard.outOff += io.bytes;
-            } else if (io.status == IoStatus::WouldBlock) {
-                return;
-            } else {
-                shardBroken(shard, index,
-                            "died with the request in flight");
-                return;
-            }
-        }
-        if (shard.flushed()) {
-            shard.out.clear();
-            shard.outOff = 0;
-        }
-    }
-
-    /** Moves ready answers (in request order) into the write buffer. */
-    void pump(Conn& conn)
-    {
-        while (!conn.pending.empty() && conn.pending.front()->ready) {
-            const Slot& slot = *conn.pending.front();
-            conn.out += slot.line;
-            if (!slot.binary)
-                conn.out += '\n';  // Binary frames self-delimit.
-            conn.pending.pop_front();
-            responses.inc();
-        }
-    }
-
-    void flush(Conn& conn)
-    {
-        while (!conn.flushed() && !conn.dead) {
-            const IoResult io =
-                conn.socket.writeSome(conn.out.data() + conn.outOff,
-                                      conn.out.size() - conn.outOff);
-            if (io.status == IoStatus::Ok) {
-                conn.outOff += io.bytes;
-            } else if (io.status == IoStatus::WouldBlock) {
-                return;
-            } else {
-                conn.dead = true;
-            }
-        }
-        if (conn.flushed()) {
-            conn.out.clear();
-            conn.outOff = 0;
-        }
-    }
-
-    void acceptPending()
-    {
-        while (conns.size() < config.maxConnections) {
-            Connection socket = listener.accept();
-            if (!socket.valid())
-                break;
-            accepted.inc();
-            conns.push_back(std::make_unique<Conn>(
-                std::move(socket), config.maxLineBytes));
-        }
+        if (shard.active() && !shard.out.flush(shard.socket))
+            shardBroken(shard, index, "died with the request in flight");
     }
 
     /** Deadline/backoff timers, on the injectable clock. */
-    void runTimers(bool stop_seen)
+    void runTimers()
     {
-        const double now = clockMs();
+        const double now = loop.nowMs();
         for (std::size_t i = 0; i < shards.size(); ++i) {
             Shard& shard = *shards[i];
             switch (shard.state.load()) {
@@ -1076,7 +862,7 @@ struct RouterServer::Impl {
                 }
                 break;
             case ShardState::Backoff:
-                if (!stop_seen && now >= shard.nextDialAtMs)
+                if (!loop.stopRequested() && now >= shard.nextDialAtMs)
                     startDial(shard);
                 break;
             case ShardState::Connecting:
@@ -1114,106 +900,40 @@ struct RouterServer::Impl {
         return false;
     }
 
-    void loop()
+    void run()
     {
-        std::vector<pollfd> fds;
-        std::vector<Conn*> polledConns;
-        std::vector<std::size_t> polledShards;
-        bool stop_seen = false;
-        while (true) {
-            if (stopRequested.load() && !stop_seen) {
-                stop_seen = true;
-                // Graceful drain, the NetServer contract: no new
-                // clients, no new input, but every forwarded request
-                // still answers (or fails typed) and flushes.
-                listener.close();
-                for (auto& conn : conns) {
-                    conn->inputClosed = true;
-                    conn->closeAfterFlush = true;
-                }
-            }
-
-            for (auto it = conns.begin(); it != conns.end();) {
-                Conn& conn = **it;
-                const bool done =
-                    conn.dead ||
-                    (conn.closeAfterFlush && conn.drained());
-                if (done) {
-                    closed.inc();
-                    it = conns.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            if (stop_seen && conns.empty())
-                break;
-
-            fds.clear();
-            polledConns.clear();
-            polledShards.clear();
-            fds.push_back({wakeRead, POLLIN, 0});
-            const bool accepting = !stop_seen && listener.valid() &&
-                                   conns.size() < config.maxConnections;
-            if (accepting)
-                fds.push_back({listener.fd(), POLLIN, 0});
-            for (auto& conn : conns) {
+        while (front.sweep()) {
+            front.watch();
+            for (auto& shard : shards) {
+                const ShardState st = shard->state.load();
                 short events = 0;
-                if (!conn->inputClosed)
-                    events |= POLLIN;
-                if (!conn->flushed())
-                    events |= POLLOUT;
-                fds.push_back({conn->socket.fd(), events, 0});
-                polledConns.push_back(conn.get());
-            }
-            for (std::size_t i = 0; i < shards.size(); ++i) {
-                Shard& shard = *shards[i];
-                const ShardState st = shard.state.load();
-                short events = 0;
-                if (st == ShardState::Alive ||
-                    st == ShardState::Warming) {
+                if (st == ShardState::Alive || st == ShardState::Warming) {
                     // Always POLLIN: shard death must surface even
                     // while nothing is outstanding.
                     events = POLLIN;
-                    if (!shard.flushed())
+                    if (!shard->out.flushed())
                         events |= POLLOUT;
                 } else if (st == ShardState::Connecting) {
                     events = POLLOUT;
                 } else {
-                    continue;  // Backoff/Down: no socket to watch.
+                    // Backoff/Down: no socket to watch.
+                    shard->watch = EventLoop::kUnwatched;
+                    continue;
                 }
-                fds.push_back({shard.socket.fd(), events, 0});
-                polledShards.push_back(i);
+                shard->watch = loop.watch(shard->socket.fd(), events);
             }
 
-            const int rc =
-                ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                       timersArmed() ? 10 : -1);
-            if (rc < 0 && errno != EINTR)
-                fatal("RouterServer: poll() failed");
+            // The front end arms no timers here (idle timeout and drain
+            // deadline are off); ours need a short tick so injectable
+            // clocks get re-read.
+            loop.poll(timersArmed() ? 10 : front.timeoutMs());
 
-            std::size_t index = 0;
-            if (fds[index].revents & POLLIN)
-                drainWakePipe();
-            ++index;
-            if (accepting) {
-                if (fds[index].revents & POLLIN)
-                    acceptPending();
-                ++index;
-            }
-            for (std::size_t c = 0; c < polledConns.size();
-                 ++c, ++index) {
-                Conn& conn = *polledConns[c];
-                const short revents = fds[index].revents;
-                if (revents & (POLLERR | POLLNVAL))
-                    conn.dead = true;
-                if (!conn.dead && (revents & (POLLIN | POLLHUP)))
-                    readClient(conn);
-            }
-            for (std::size_t s = 0; s < polledShards.size();
-                 ++s, ++index) {
-                const std::size_t i = polledShards[s];
+            front.onPolled();
+            for (std::size_t i = 0; i < shards.size(); ++i) {
                 Shard& shard = *shards[i];
-                const short revents = fds[index].revents;
+                if (shard.watch == EventLoop::kUnwatched)
+                    continue;
+                const short revents = loop.revents(shard.watch);
                 if (shard.state.load() == ShardState::Connecting) {
                     if (revents & (POLLOUT | POLLERR | POLLHUP)) {
                         Result<bool> up = shard.socket.finishConnect();
@@ -1231,27 +951,20 @@ struct RouterServer::Impl {
                 }
                 if (revents & (POLLIN | POLLHUP))
                     readShard(shard, i);
-                if (shard.active() && (revents & POLLOUT))
+                if (revents & POLLOUT)
                     flushShard(shard, i);
             }
 
-            runTimers(stop_seen);
+            runTimers();
 
             // New work may have been queued onto shards this round
             // (client requests, failover replays, heal probes); try
             // the write now instead of waiting a poll cycle.
             for (std::size_t i = 0; i < shards.size(); ++i)
-                if (shards[i]->active() && !shards[i]->flushed())
-                    flushShard(*shards[i], i);
+                flushShard(*shards[i], i);
 
-            for (auto& conn : conns) {
-                if (conn->dead)
-                    continue;
-                pump(*conn);
-                flush(*conn);
-            }
+            front.flush();
         }
-        listener.close();
         for (auto& shard : shards) {
             shard->state.store(ShardState::Down);
             shard->socket.close();
@@ -1270,23 +983,16 @@ struct RouterServer::Impl {
     /** The registry behind every counter below (+ provider rows);
      *  shared with the daemon when RouterConfig supplied one. */
     std::shared_ptr<StatsRegistry> stats;
-    TcpListener listener;
+    EventLoop loop;
+    ClientFrontEnd front;
     HashRing ring;
-    int wakeRead = -1;
-    int wakeWrite = -1;
-    std::atomic<bool> stopRequested{false};
-    std::vector<std::unique_ptr<Conn>> conns;
     std::vector<std::unique_ptr<Shard>> shards;
     std::vector<pid_t> children;  ///< Respawned workers (loop-owned).
     std::size_t statsProvider = 0;
 
-    // Registry cells under `router.*` (loop-thread maintained).
-    StatsCounter& accepted;
-    StatsCounter& closed;
+    // Registry cells under `router.*` (loop-thread maintained); the
+    // client-side ones live in the front end.
     StatsCounter& forwarded;
-    StatsCounter& responses;
-    StatsCounter& protocolErrors;
-    StatsCounter& oversized;
     StatsCounter& shardFailures;
     StatsCounter& retried;
     StatsCounter& deadlineExpired;
@@ -1310,18 +1016,13 @@ RouterServer::~RouterServer()
 Result<bool>
 RouterServer::bindListener()
 {
-    Result<TcpListener> listener =
-        TcpListener::bind(impl_->config.host, impl_->config.port);
-    if (!listener)
-        return listener.error();
-    impl_->listener = std::move(listener.value());
-    return true;
+    return impl_->front.bind(impl_->config.host, impl_->config.port);
 }
 
 std::uint16_t
 RouterServer::port() const
 {
-    return impl_->listener.port();
+    return impl_->front.port();
 }
 
 Result<bool>
@@ -1333,7 +1034,7 @@ RouterServer::connectShards()
 void
 RouterServer::run()
 {
-    impl_->loop();
+    impl_->run();
     loop_done_.store(true);
 }
 
@@ -1353,8 +1054,7 @@ RouterServer::start()
 void
 RouterServer::requestStop()
 {
-    impl_->stopRequested.store(true);
-    impl_->wake();
+    impl_->loop.requestStop();
 }
 
 void

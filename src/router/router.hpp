@@ -15,12 +15,19 @@
  * distinct-config-many steps — the single-service thundering-herd
  * guarantee, preserved across processes (the fleet bench pins it).
  *
- * Topology and data flow, one poll(2) loop for everything:
+ * Topology and data flow, on one thread:
  *
  *     clients --> RouterServer --> shard 0 (ftsim_served)
  *                     |----------> shard 1
  *                     `----------> shard N-1
  *
+ *  - Client connections are the `ClientFrontEnd` of net/front_end.hpp,
+ *    the same code that serves `NetServer`'s clients: accept,
+ *    framing, protocol errors and request-order write-back behave
+ *    identically on both front doors. The router's policy is the
+ *    handler it gives the front end, which routes each decoded
+ *    request; shard connections share the `EventLoop` (see
+ *    net/event_loop.hpp) with it.
  *  - One persistent pipelined connection per shard, opened at start.
  *  - Each forwarded request pushes a shared answer *slot* onto both
  *    its client connection's pending queue and its shard connection's
@@ -28,9 +35,6 @@
  *    (the NetServer re-sequencing contract), so each shard response
  *    line fills that shard's oldest outstanding slot — no id matching
  *    needed, and the router never reparses responses.
- *  - Client write-back happens in per-connection request order, exactly
- *    like the shards themselves re-sequence: ready slots drain from the
- *    front of the pending queue only.
  *
  * Requests the router answers itself:
  *  - lines that fail to parse (typed protocol error, connection lives);
@@ -67,7 +71,7 @@
  * every survivor and pushes each to the rejoiner as a `load_snapshot`
  * query, so the rejoined shard compiles zero plans for fleet-seen
  * configs. Only then do its ring points return. `respawnCommand`
- * optionally fork/execs a replacement worker process on the dead
+ * optionally spawns a replacement worker process on the dead
  * endpoint (children are reaped while running and SIGTERM'd at
  * shutdown) — the `ftsim_router --respawn` supervisor mode.
  * Shard lifecycle:
@@ -132,7 +136,7 @@ struct RouterConfig {
     /** Deadline for one whole heal attempt — dial + snapshot fetches +
      *  warm pushes — before it aborts back to backoff, ms. */
     double healTimeoutMs = 5000.0;
-    /** Executable fork/exec'd as `cmd --host H --port P` to replace a
+    /** Executable spawned as `cmd --host H --port P` to replace a
      *  dead shard on its endpoint (empty = reconnect-only). Spawned
      *  children are reaped while running and SIGTERM'd at shutdown. */
     std::string respawnCommand;
@@ -194,7 +198,7 @@ class RouterServer {
     const std::shared_ptr<StatsRegistry>& statsRegistry() const;
 
   private:
-    struct Impl;  ///< Poll loop internals.
+    struct Impl;  ///< Loop, front end, ring and shards.
     std::unique_ptr<Impl> impl_;
     std::thread loop_thread_;
     std::atomic<bool> loop_done_{false};

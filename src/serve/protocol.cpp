@@ -504,13 +504,6 @@ modelWireName(const ModelSpec& model)
     return "";
 }
 
-bool
-isPerGpuKind(QueryKind kind)
-{
-    return kind == QueryKind::MaxBatch ||
-           kind == QueryKind::Throughput || kind == QueryKind::Report;
-}
-
 }  // namespace
 
 bool
@@ -518,6 +511,19 @@ isLiveKind(QueryKind kind)
 {
     return kind == QueryKind::Snapshot || kind == QueryKind::Fleet ||
            kind == QueryKind::LoadSnapshot || kind == QueryKind::Stats;
+}
+
+bool
+isPerGpuKind(QueryKind kind)
+{
+    return kind == QueryKind::MaxBatch ||
+           kind == QueryKind::Throughput || kind == QueryKind::Report;
+}
+
+bool
+isBlankLine(const std::string& line)
+{
+    return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
 const char*

@@ -86,6 +86,19 @@ const char* queryKindName(QueryKind kind);
  */
 bool isLiveKind(QueryKind kind);
 
+/**
+ * True for the kinds asked about one GPU (max_batch / throughput /
+ * report): they take `gpu`; the others take the `gpus` list.
+ */
+bool isPerGpuKind(QueryKind kind);
+
+/**
+ * True for a line that holds only spaces, tabs and CRs. Blank lines are
+ * not requests: every reader of the JSON-lines protocol skips them
+ * unanswered.
+ */
+bool isBlankLine(const std::string& line);
+
 /** Parses a wire name; `InvalidArgument` on an unknown kind. */
 Result<QueryKind> parseQueryKind(const std::string& name);
 

@@ -176,13 +176,6 @@ class WireReader {
     std::size_t pos_ = 0;
 };
 
-bool
-isPerGpuKind(QueryKind kind)
-{
-    return kind == QueryKind::MaxBatch ||
-           kind == QueryKind::Throughput || kind == QueryKind::Report;
-}
-
 QueryKind
 readQueryKind(WireReader& in)
 {

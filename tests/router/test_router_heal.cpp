@@ -20,7 +20,9 @@
  *    snapshots before its ring points return: it compiles zero plans
  *    for configs the fleet has already seen;
  *  - the `fleet` query reports lifecycle states and the
- *    retried/healed/respawned ledger.
+ *    retried/healed/respawned ledger;
+ *  - a respawned replacement starts with SIGTERM deliverable, so the
+ *    router's shutdown always reaps it.
  *
  * Everything binds port 0 so parallel runs never collide.
  */
@@ -28,10 +30,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <future>
+#include <map>
+#include <pthread.h>
 #include <string>
+#include <sys/stat.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -423,6 +435,129 @@ TEST(RouterHeal, RetryBudgetZeroRestoresFailFast)
 
     router.stop();
     real.stop();
+}
+
+/**
+ * While alive: SIGTERM ignored process-wide and blocked in this thread
+ * (so in every thread it starts). Both survive fork+exec, and either
+ * one keeps a child from dying on the router's shutdown SIGTERM.
+ */
+class SigtermIgnoredAndBlocked {
+  public:
+    SigtermIgnoredAndBlocked()
+    {
+        struct sigaction ignore = {};
+        ignore.sa_handler = SIG_IGN;
+        sigemptyset(&ignore.sa_mask);
+        ::sigaction(SIGTERM, &ignore, &oldAction_);
+        sigset_t term;
+        sigemptyset(&term);
+        sigaddset(&term, SIGTERM);
+        ::pthread_sigmask(SIG_BLOCK, &term, &oldMask_);
+    }
+
+    ~SigtermIgnoredAndBlocked()
+    {
+        ::pthread_sigmask(SIG_SETMASK, &oldMask_, nullptr);
+        ::sigaction(SIGTERM, &oldAction_, nullptr);
+    }
+
+    SigtermIgnoredAndBlocked(const SigtermIgnoredAndBlocked&) = delete;
+    SigtermIgnoredAndBlocked& operator=(const SigtermIgnoredAndBlocked&) =
+        delete;
+
+  private:
+    struct sigaction oldAction_ = {};
+    sigset_t oldMask_;
+};
+
+/** `Name:\tvalue` lines of a /proc status dump, by name. */
+std::map<std::string, std::string>
+readStatusLines(const std::string& path)
+{
+    std::map<std::string, std::string> fields;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            continue;
+        const std::size_t value = line.find_first_not_of(" \t", colon + 1);
+        fields[line.substr(0, colon)] =
+            value == std::string::npos ? "" : line.substr(value);
+    }
+    return fields;
+}
+
+TEST(RouterHeal, RespawnedChildStartsWithDefaultSignalsAndStopReapsIt)
+{
+    // The respawn command is a script that records its own signal
+    // state, then sleeps as the same process until signalled. It reads
+    // its status with builtins only: a shell blocks every signal for
+    // a moment around each fork, so a forked reader could catch that.
+    std::string dir = ::testing::TempDir() + "ftsim_respawn_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    const std::string script = dir + "/respawn.sh";
+    const std::string status = dir + "/status";
+    {
+        std::ofstream out(script);
+        out << "#!/bin/sh\n"
+            << "while IFS= read -r line; do\n"
+            << "  case \"$line\" in Pid:*|SigBlk:*|SigIgn:*)"
+            << " echo \"$line\";; esac\n"
+            << "done < /proc/$$/status > " << status << ".tmp\n"
+            << "mv " << status << ".tmp " << status << "\n"
+            << "exec sleep 30\n";
+    }
+    ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+    SigtermIgnoredAndBlocked hostile;
+    NetServer shard;
+    ASSERT_TRUE(shard.start().ok());
+    RouterConfig config;
+    ShardEndpoint endpoint;
+    endpoint.port = shard.port();
+    config.shards = {endpoint};
+    config.respawnCommand = script;
+    RouterServer router(config);
+    ASSERT_TRUE(router.start().ok());
+
+    // The router sees its only shard close and respawns it.
+    shard.stop();
+    ASSERT_TRUE(eventually(5000.0, [&] {
+        return std::ifstream(status).good();
+    })) << "the respawn command never ran";
+    const std::map<std::string, std::string> fields =
+        readStatusLines(status);
+    ASSERT_EQ(fields.count("Pid"), 1u);
+    ASSERT_EQ(fields.count("SigBlk"), 1u);
+    ASSERT_EQ(fields.count("SigIgn"), 1u);
+    const pid_t child = std::stoi(fields.at("Pid"));
+    EXPECT_EQ(std::stoull(fields.at("SigBlk"), nullptr, 16), 0u);
+    EXPECT_EQ(std::stoull(fields.at("SigIgn"), nullptr, 16) &
+                  (1ull << (SIGTERM - 1)),
+              0u)
+        << "SigIgn: " << fields.at("SigIgn");
+
+    // stop() SIGTERMs the child and reaps it. Should it hang, kill the
+    // child so the test fails instead of hanging too.
+    std::future<void> stopped =
+        std::async(std::launch::async, [&router] { router.stop(); });
+    const bool reaped = stopped.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+    if (!reaped)
+        ::kill(child, SIGKILL);
+    stopped.get();
+    EXPECT_TRUE(reaped) << "router.stop() blocked reaping its child";
+    EXPECT_EQ(
+        router.statsRegistry()->snapshot().counter("router.respawned"),
+        1u);
+    EXPECT_EQ(::kill(child, 0), -1);
+    EXPECT_EQ(errno, ESRCH);
+
+    std::remove(status.c_str());
+    std::remove(script.c_str());
+    ::rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -124,8 +124,8 @@ main(int argc, char** argv)
     std::vector<std::string> requests;
     std::string line;
     while (std::getline(in, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;  // Blank lines are not requests.
+        if (isBlankLine(line))
+            continue;
         requests.push_back(line);
     }
 

@@ -160,8 +160,8 @@ main(int argc, char** argv)
     std::vector<Slot> slots;
     std::string line;
     while (std::getline(in, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;  // Blank lines are not requests.
+        if (isBlankLine(line))
+            continue;
         Slot slot;
         Result<PlanRequest> request = parsePlanRequest(line);
         if (request) {
