@@ -69,9 +69,9 @@ python3 tools/bench_check.py --fresh-dir "$BUILD_DIR"
 echo "ci.sh: bench regression gates green"
 
 # Docs drift gate: docs/PROTOCOL.md is the normative wire spec, so it
-# must mention every query kind, error code, and wire constant the
-# sources actually ship (scraped from the authoritative switches in
-# serve/protocol.cpp, common/result.cpp, and serve/wire.hpp).
+# must mention every query kind, field, error code, and wire constant
+# the sources actually ship (read from the protocol schema in
+# serve/schema.hpp, common/result.cpp, and serve/wire.hpp).
 python3 tools/check_docs.py
 
 # Trend history: append this run's BENCH_*.json artifacts (stamped with

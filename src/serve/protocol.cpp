@@ -2,24 +2,15 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/base64.hpp"
 #include "common/logging.hpp"
+#include "serve/schema.hpp"
 
 namespace ftsim {
 
 namespace {
-
-/** Internal parse failure; surfaces as InvalidArgument at the API. */
-struct ParseErr {
-    std::string msg;
-};
-
-[[noreturn]] void
-bad(std::string msg)
-{
-    throw ParseErr{std::move(msg)};
-}
 
 // ---- Minimal JSON document model -------------------------------------
 
@@ -42,20 +33,6 @@ struct JsonValue {
     }
 };
 
-const char*
-typeName(JsonValue::Type t)
-{
-    switch (t) {
-    case JsonValue::Type::Null: return "null";
-    case JsonValue::Type::Bool: return "bool";
-    case JsonValue::Type::Number: return "number";
-    case JsonValue::Type::String: return "string";
-    case JsonValue::Type::Array: return "array";
-    case JsonValue::Type::Object: return "object";
-    }
-    return "?";
-}
-
 // ---- Recursive-descent parser ----------------------------------------
 
 class JsonParser {
@@ -67,7 +44,7 @@ class JsonParser {
         JsonValue v = parseValue();
         skipWs();
         if (pos_ != s_.size())
-            bad(strCat("trailing characters at offset ", pos_));
+            reject(strCat("trailing characters at offset ", pos_));
         return v;
     }
 
@@ -83,22 +60,20 @@ class JsonParser {
     char peek()
     {
         if (pos_ >= s_.size())
-            bad("unexpected end of input");
+            reject("unexpected end of input");
         return s_[pos_];
     }
 
     void expect(char c)
     {
         if (pos_ >= s_.size() || s_[pos_] != c)
-            bad(strCat("expected '", c, "' at offset ", pos_));
+            reject(strCat("expected '", c, "' at offset ", pos_));
         ++pos_;
     }
 
     bool consumeLiteral(const char* lit)
     {
-        std::size_t n = 0;
-        while (lit[n] != '\0')
-            ++n;
+        const std::size_t n = std::strlen(lit);
         if (s_.compare(pos_, n, lit) != 0)
             return false;
         pos_ += n;
@@ -113,7 +88,7 @@ class JsonParser {
             // Containers recurse; a hostile line of 100k brackets must
             // be a parse error, not a stack overflow (fuzz-pinned).
             if (depth_ >= kMaxDepth)
-                bad(strCat("nesting deeper than ", kMaxDepth));
+                reject(strCat("nesting deeper than ", kMaxDepth));
             ++depth_;
             JsonValue v = c == '{' ? parseObject() : parseArray();
             --depth_;
@@ -155,7 +130,7 @@ class JsonParser {
             skipWs();
             std::string key = parseString();
             if (v.find(key) != nullptr)
-                bad(strCat("duplicate key \"", key, '"'));
+                reject(strCat("duplicate key \"", key, '"'));
             skipWs();
             expect(':');
             v.object.emplace_back(std::move(key), parseValue());
@@ -197,18 +172,18 @@ class JsonParser {
         std::string out;
         for (;;) {
             if (pos_ >= s_.size())
-                bad("unterminated string");
+                reject("unterminated string");
             const char c = s_[pos_++];
             if (c == '"')
                 return out;
             if (static_cast<unsigned char>(c) < 0x20)
-                bad("raw control character in string");
+                reject("raw control character in string");
             if (c != '\\') {
                 out += c;
                 continue;
             }
             if (pos_ >= s_.size())
-                bad("unterminated escape");
+                reject("unterminated escape");
             const char e = s_[pos_++];
             switch (e) {
             case '"': out += '"'; break;
@@ -220,7 +195,7 @@ class JsonParser {
             case 'r': out += '\r'; break;
             case 't': out += '\t'; break;
             case 'u': out += parseUnicodeEscape(); break;
-            default: bad(strCat("bad escape '\\", e, "'"));
+            default: reject(strCat("bad escape '\\", e, "'"));
             }
         }
     }
@@ -229,7 +204,7 @@ class JsonParser {
     unsigned parseHex4()
     {
         if (pos_ + 4 > s_.size())
-            bad("truncated \\u escape");
+            reject("truncated \\u escape");
         unsigned code = 0;
         for (int i = 0; i < 4; ++i) {
             const char h = s_[pos_++];
@@ -241,7 +216,7 @@ class JsonParser {
             else if (h >= 'A' && h <= 'F')
                 code |= static_cast<unsigned>(h - 'A' + 10);
             else
-                bad("non-hex digit in \\u escape");
+                reject("non-hex digit in \\u escape");
         }
         return code;
     }
@@ -259,15 +234,15 @@ class JsonParser {
     {
         unsigned code = parseHex4();
         if (code >= 0xDC00 && code <= 0xDFFF)
-            bad("lone low surrogate in \\u escape");
+            reject("lone low surrogate in \\u escape");
         if (code >= 0xD800 && code <= 0xDBFF) {
             if (pos_ + 2 > s_.size() || s_[pos_] != '\\' ||
                 s_[pos_ + 1] != 'u')
-                bad("unpaired high surrogate in \\u escape");
+                reject("unpaired high surrogate in \\u escape");
             pos_ += 2;
             const unsigned low = parseHex4();
             if (low < 0xDC00 || low > 0xDFFF)
-                bad("unpaired high surrogate in \\u escape");
+                reject("unpaired high surrogate in \\u escape");
             code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
         }
         std::string out;
@@ -295,7 +270,7 @@ class JsonParser {
         //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
         // Enforced here rather than deferred to strtod, which also
         // accepts "+5", ".5", "5.", "01", hex, and "inf"/"nan" —
-        // spellings fmtNumber never emits and strict JSON rejects.
+        // spellings strExact never emits and strict JSON rejects.
         const std::size_t start = pos_;
         const auto isDigit = [this](std::size_t p) {
             return p < s_.size() && s_[p] >= '0' && s_[p] <= '9';
@@ -303,13 +278,13 @@ class JsonParser {
         if (peek() == '-')
             ++pos_;
         if (!isDigit(pos_))
-            bad(strCat("unexpected character '",
+            reject(strCat("unexpected character '",
                        pos_ < s_.size() ? s_[pos_] : s_[start],
                        "' at offset ", start));
         if (s_[pos_] == '0') {
             ++pos_;
             if (isDigit(pos_))
-                bad(strCat("leading zero in number at offset ", start));
+                reject(strCat("leading zero in number at offset ", start));
         } else {
             while (isDigit(pos_))
                 ++pos_;
@@ -317,7 +292,7 @@ class JsonParser {
         if (pos_ < s_.size() && s_[pos_] == '.') {
             ++pos_;
             if (!isDigit(pos_))
-                bad(strCat("digit required after decimal point at "
+                reject(strCat("digit required after decimal point at "
                            "offset ",
                            start));
             while (isDigit(pos_))
@@ -329,7 +304,7 @@ class JsonParser {
                 (s_[pos_] == '+' || s_[pos_] == '-'))
                 ++pos_;
             if (!isDigit(pos_))
-                bad(strCat("digit required in exponent at offset ",
+                reject(strCat("digit required in exponent at offset ",
                            start));
             while (isDigit(pos_))
                 ++pos_;
@@ -338,7 +313,7 @@ class JsonParser {
         char* end = nullptr;
         const double num = std::strtod(text.c_str(), &end);
         if (end != text.c_str() + text.size() || !std::isfinite(num))
-            bad(strCat("bad number \"", text, '"'));
+            reject(strCat("bad number \"", text, '"'));
         JsonValue v;
         v.type = JsonValue::Type::Number;
         v.number = num;
@@ -353,118 +328,122 @@ class JsonParser {
     int depth_ = 0;
 };
 
-// ---- Field extraction helpers ----------------------------------------
-
 const JsonValue&
-require(const JsonValue& obj, const char* key, JsonValue::Type type)
+expect(const JsonValue& value, JsonValue::Type type, const char* key)
 {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr)
-        bad(strCat("missing required key \"", key, '"'));
-    if (v->type != type)
-        bad(strCat('"', key, "\" must be a ", typeName(type), ", got ",
-                   typeName(v->type)));
-    return *v;
-}
-
-const JsonValue*
-optional(const JsonValue& obj, const char* key, JsonValue::Type type)
-{
-    const JsonValue* v = obj.find(key);
-    if (v != nullptr && v->type != type)
-        bad(strCat('"', key, "\" must be a ", typeName(type), ", got ",
-                   typeName(v->type)));
-    return v;
-}
-
-void
-rejectUnknownKeys(const JsonValue& obj,
-                  const std::vector<std::string>& known,
-                  const char* where)
-{
-    for (const auto& [key, value] : obj.object) {
-        bool found = false;
-        for (const std::string& k : known)
-            if (k == key)
-                found = true;
-        if (!found)
-            bad(strCat("unknown key \"", key, "\" in ", where));
-    }
+    static const char* const kTypeNames[] = {"null",   "bool",  "number",
+                                             "string", "array", "object"};
+    if (value.type != type)
+        reject(strCat('"', key, "\" must be a ",
+                      kTypeNames[static_cast<int>(type)], ", got ",
+                      kTypeNames[static_cast<int>(value.type)]));
+    return value;
 }
 
 Scenario
 parseScenario(const JsonValue& obj)
 {
-    rejectUnknownKeys(obj,
-                      {"preset", "model", "median_seq_len",
-                       "length_sigma", "num_queries", "epochs", "sparse"},
-                      "scenario");
-
+    // Overrides apply on top of the preset, whatever the key order.
     Scenario scenario = Scenario::gsMath();
-    if (const JsonValue* preset =
-            optional(obj, "preset", JsonValue::Type::String)) {
-        if (preset->string == "gs_math")
-            scenario = Scenario::gsMath();
-        else if (preset->string == "commonsense15k")
+    if (const JsonValue* preset = obj.find("preset")) {
+        const std::string& name =
+            expect(*preset, JsonValue::Type::String, "preset").string;
+        if (name == "commonsense15k")
             scenario = Scenario::commonsense15k();
-        else if (preset->string == "open_orca")
+        else if (name == "open_orca")
             scenario = Scenario::openOrca();
-        else
-            bad(strCat("unknown scenario preset \"", preset->string,
-                       '"'));
+        else if (name != "gs_math")
+            reject(strCat("unknown scenario preset \"", name, '"'));
     }
-    if (const JsonValue* model =
-            optional(obj, "model", JsonValue::Type::String)) {
-        if (model->string == "mixtral8x7b")
-            scenario.withModel(ModelSpec::mixtral8x7b());
-        else if (model->string == "blackmamba2p8b")
-            scenario.withModel(ModelSpec::blackMamba2p8b());
-        else
-            bad(strCat("unknown model \"", model->string, '"'));
+    using Type = JsonValue::Type;
+    for (const auto& [key, value] : obj.object) {
+        const char* k = key.c_str();
+        if (key == "model") {
+            const std::string& name = expect(value, Type::String, k).string;
+            const WireModel* model =
+                findRow(kWireModels, &WireModel::name, name);
+            if (model == nullptr)
+                reject(strCat("unknown model \"", name, '"'));
+            scenario.withModel(model->spec());
+        } else if (key == "median_seq_len") {
+            scenario.withMedianSeqLen(
+                medianSeqLenOf(expect(value, Type::Number, k).number));
+        } else if (key == "length_sigma") {
+            scenario.withLengthSigma(expect(value, Type::Number, k).number);
+        } else if (key == "num_queries") {
+            scenario.withNumQueries(expect(value, Type::Number, k).number);
+        } else if (key == "epochs") {
+            scenario.withEpochs(expect(value, Type::Number, k).number);
+        } else if (key == "sparse") {
+            scenario.withSparse(expect(value, Type::Bool, k).boolean);
+        } else if (key != "preset") {
+            reject(strCat("unknown key \"", key, "\" in scenario"));
+        }
     }
-    if (const JsonValue* seq =
-            optional(obj, "median_seq_len", JsonValue::Type::Number)) {
-        if (seq->number < 1.0 ||
-            seq->number != std::floor(seq->number))
-            bad("\"median_seq_len\" must be a positive integer");
-        scenario.withMedianSeqLen(
-            static_cast<std::size_t>(seq->number));
-    }
-    if (const JsonValue* sigma =
-            optional(obj, "length_sigma", JsonValue::Type::Number))
-        scenario.withLengthSigma(sigma->number);
-    if (const JsonValue* queries =
-            optional(obj, "num_queries", JsonValue::Type::Number))
-        scenario.withNumQueries(queries->number);
-    if (const JsonValue* epochs =
-            optional(obj, "epochs", JsonValue::Type::Number))
-        scenario.withEpochs(epochs->number);
-    if (const JsonValue* sparse =
-            optional(obj, "sparse", JsonValue::Type::Bool))
-        scenario.withSparse(sparse->boolean);
-
-    Result<Scenario> valid = scenario.validated();
-    if (!valid)
-        bad(valid.error().message);
     return scenario;
 }
 
-// ---- Writer helpers --------------------------------------------------
-
-/** Doubles on the wire must round-trip exactly — a re-serialized
- *  request has to keep its canonical (coalescing) identity — so this
- *  is the same %.17g spelling the cache keys use. */
-std::string
-fmtNumber(double x)
+void
+read(const JsonValue& value, QueryKind& kind, const RequestField& field)
 {
-    return strExact(x);
+    Result<QueryKind> parsed = parseQueryKind(
+        expect(value, JsonValue::Type::String, field.key).string);
+    if (!parsed)
+        reject(parsed.error().message);
+    kind = parsed.value();
 }
 
-std::string
-escapeJson(const std::string& s)
+void
+read(const JsonValue& value, std::string& text, const RequestField& field)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
+    const std::string& s =
+        expect(value, JsonValue::Type::String, field.key).string;
+    if (field.spelling != Spelling::Base64) {
+        text = s;
+        return;
+    }
+    Result<std::string> raw = base64Decode(s);
+    if (!raw)
+        reject(raw.error().message);
+    text = std::move(raw.value());
+}
+
+void
+read(const JsonValue& value, std::vector<std::string>& list,
+     const RequestField& field)
+{
+    for (const JsonValue& entry :
+         expect(value, JsonValue::Type::Array, field.key).array) {
+        if (entry.type != JsonValue::Type::String)
+            reject(strCat('"', field.key, "\" entries must be strings"));
+        list.push_back(entry.string);
+    }
+}
+
+void
+read(const JsonValue& value, Scenario& scenario, const RequestField& field)
+{
+    scenario =
+        parseScenario(expect(value, JsonValue::Type::Object, field.key));
+}
+
+void
+read(const JsonValue& value, std::vector<CloudOffering>& rates,
+     const RequestField& field)
+{
+    for (const auto& [name, rate] :
+         expect(value, JsonValue::Type::Object, field.key).object) {
+        if (rate.type != JsonValue::Type::Number)
+            reject(strCat("rate for \"", name, "\" must be a number"));
+        rates.push_back({"user", name, rate.number});
+    }
+}
+
+/** Appends @p s as a quoted JSON string. */
+void
+escapeJson(std::string& out, std::string_view s)
+{
+    out += '"';
     for (char c : s) {
         switch (c) {
         case '"': out += "\\\""; break;
@@ -483,81 +462,123 @@ escapeJson(const std::string& s)
             }
         }
     }
+    out += '"';
+}
+
+/** Doubles on the wire must round-trip exactly — a re-serialized
+ *  request has to keep its canonical (coalescing) identity — so this
+ *  is the same %.17g spelling the cache keys use. */
+void
+put(std::string& out, double x, Spelling)
+{
+    out += strExact(x);
+}
+
+void
+put(std::string& out, QueryKind kind, Spelling)
+{
+    escapeJson(out, kindSpec(kind).name);
+}
+
+void
+put(std::string& out, bool b, Spelling)
+{
+    out += b ? "true" : "false";
+}
+
+void
+put(std::string& out, const std::string& s, Spelling spelling)
+{
+    switch (spelling) {
+    case Spelling::Text: escapeJson(out, s); break;
+    case Spelling::Base64: escapeJson(out, base64Encode(s)); break;
+    case Spelling::Json: out += s.empty() ? "{}" : s; break;
+    }
+}
+
+void
+put(std::string& out, const std::vector<std::string>& list, Spelling)
+{
+    out += '[';
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        escapeJson(out, list[i]);
+    }
+    out += ']';
+}
+
+void
+put(std::string& out, const Scenario& scenario, Spelling)
+{
+    // Explicit scalars, no preset: the scalars fully determine the
+    // scenario. A foreign ModelSpec has no wire spelling and is omitted.
+    out += '{';
+    if (const WireModel* model = wireModelOf(scenario.model))
+        out += strCat("\"model\":\"", model->name, "\",");
+    out += strCat("\"median_seq_len\":", scenario.medianSeqLen,
+                  ",\"length_sigma\":", strExact(scenario.lengthSigma),
+                  ",\"num_queries\":", strExact(scenario.numQueries),
+                  ",\"epochs\":", strExact(scenario.epochs),
+                  ",\"sparse\":", scenario.sparse ? "true" : "false", '}');
+}
+
+void
+put(std::string& out, const std::vector<CloudOffering>& rates, Spelling)
+{
+    out += '{';
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        escapeJson(out, rates[i].gpuName);
+        out += ':';
+        put(out, rates[i].dollarsPerHour, Spelling::Text);
+    }
+    out += '}';
+}
+
+void
+put(std::string& out, const std::vector<CostRow>& rows, Spelling)
+{
+    out += '[';
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const CostRow& row = rows[i];
+        out += i > 0 ? ",{\"gpu\":" : "{\"gpu\":";
+        escapeJson(out, row.gpuName);
+        out += strCat(",\"mem_gb\":", strExact(row.memGB),
+                      ",\"max_batch\":", row.maxBatchSize,
+                      ",\"qps\":", strExact(row.throughputQps),
+                      ",\"usd_per_hour\":", strExact(row.dollarsPerHour),
+                      ",\"total_usd\":", strExact(row.totalDollars), '}');
+    }
+    out += ']';
+}
+
+/** The encoding walker: the fields @p kTable selects for the message's
+ *  kind and outcome, among @p rows, in table order. */
+template <const auto& kTable, class Msg>
+std::string
+writeFields(const Msg& msg, bool ok, FieldSet rows = ~FieldSet{0})
+{
+    std::string out = "{";
+    for (std::size_t i = 0; i < std::size(kTable); ++i) {
+        const auto& field = kTable[i];
+        if ((rows >> i & 1) == 0 || !emits(field, msg, ok))
+            continue;
+        if (out.size() > 1)
+            out += ',';
+        out += '"';
+        out += field.key;
+        out += "\":";
+        if ((field.derived & kindBit(msg.query)) != 0)
+            put(out, derivedValue(msg), field.spelling);
+        else
+            std::visit([&](auto m) { put(out, msg.*m, field.spelling); },
+                       field.member);
+    }
+    out += '}';
     return out;
 }
-
-std::string
-quoted(const std::string& s)
-{
-    return strCat('"', escapeJson(s), '"');
-}
-
-/** Protocol spelling of a preset model; empty for foreign specs. */
-std::string
-modelWireName(const ModelSpec& model)
-{
-    if (model.fingerprint() == ModelSpec::mixtral8x7b().fingerprint())
-        return "mixtral8x7b";
-    if (model.fingerprint() ==
-        ModelSpec::blackMamba2p8b().fingerprint())
-        return "blackmamba2p8b";
-    return "";
-}
-
-}  // namespace
-
-bool
-isLiveKind(QueryKind kind)
-{
-    return kind == QueryKind::Snapshot || kind == QueryKind::Fleet ||
-           kind == QueryKind::LoadSnapshot || kind == QueryKind::Stats;
-}
-
-bool
-isPerGpuKind(QueryKind kind)
-{
-    return kind == QueryKind::MaxBatch ||
-           kind == QueryKind::Throughput || kind == QueryKind::Report;
-}
-
-bool
-isBlankLine(const std::string& line)
-{
-    return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-const char*
-queryKindName(QueryKind kind)
-{
-    switch (kind) {
-    case QueryKind::MaxBatch: return "max_batch";
-    case QueryKind::Throughput: return "throughput";
-    case QueryKind::CostTable: return "cost_table";
-    case QueryKind::CheapestPlan: return "cheapest_plan";
-    case QueryKind::Report: return "report";
-    case QueryKind::Snapshot: return "snapshot";
-    case QueryKind::Fleet: return "fleet";
-    case QueryKind::LoadSnapshot: return "load_snapshot";
-    case QueryKind::Stats: return "stats";
-    }
-    return "?";
-}
-
-Result<QueryKind>
-parseQueryKind(const std::string& name)
-{
-    for (QueryKind kind :
-         {QueryKind::MaxBatch, QueryKind::Throughput,
-          QueryKind::CostTable, QueryKind::CheapestPlan,
-          QueryKind::Report, QueryKind::Snapshot, QueryKind::Fleet,
-          QueryKind::LoadSnapshot, QueryKind::Stats})
-        if (name == queryKindName(kind))
-            return kind;
-    return Error{ErrorCode::InvalidArgument,
-                 strCat("unknown query kind \"", name, '"')};
-}
-
-namespace {
 
 /**
  * Length-prefixed element for key strings: wire names are arbitrary,
@@ -572,6 +593,12 @@ keyElem(const std::string& s)
 }
 
 }  // namespace
+
+bool
+isBlankLine(const std::string& line)
+{
+    return line.find_first_not_of(" \t\r") == std::string::npos;
+}
 
 std::string
 PlanRequest::canonicalKey() const
@@ -598,101 +625,23 @@ Result<PlanRequest>
 parsePlanRequest(const std::string& line)
 {
     try {
-        JsonParser parser(line);
-        const JsonValue doc = parser.parseDocument();
+        const JsonValue doc = JsonParser(line).parseDocument();
         if (doc.type != JsonValue::Type::Object)
-            bad("request must be a JSON object");
-        rejectUnknownKeys(doc,
-                          {"id", "tenant", "query", "gpu", "gpus",
-                           "scenario", "rates", "snapshot"},
-                          "request");
-
+            reject("request must be a JSON object");
         PlanRequest req;
-        if (const JsonValue* id =
-                optional(doc, "id", JsonValue::Type::String))
-            req.id = id->string;
-
-        if (const JsonValue* tenant =
-                optional(doc, "tenant", JsonValue::Type::String)) {
-            // Empty would silently mean "untenanted" (quota-exempt);
-            // make the caller say what they meant.
-            if (tenant->string.empty())
-                bad("\"tenant\" must not be empty (omit it instead)");
-            req.tenant = tenant->string;
+        FieldSet present = 0;
+        for (const auto& [key, value] : doc.object) {
+            const std::size_t row = rowOf(kRequestFields, key);
+            if (row == std::size(kRequestFields))
+                reject(strCat("unknown key \"", key, "\" in request"));
+            const RequestField& field = kRequestFields[row];
+            std::visit([&](auto m) { read(value, req.*m, field); },
+                       field.member);
+            present |= FieldSet{1} << row;
         }
-
-        const JsonValue& query =
-            require(doc, "query", JsonValue::Type::String);
-        Result<QueryKind> kind = parseQueryKind(query.string);
-        if (!kind)
-            bad(kind.error().message);
-        req.query = kind.value();
-
-        if (isLiveKind(req.query)) {
-            // Live queries are about the service, not a workload: any
-            // of the workload-shaped keys on one is a confused caller.
-            for (const char* key :
-                 {"tenant", "gpu", "gpus", "scenario", "rates"})
-                if (doc.find(key) != nullptr)
-                    bad(strCat('"', key,
-                               "\" is not valid for query \"",
-                               query.string, '"'));
-        }
-
-        if (req.query == QueryKind::LoadSnapshot) {
-            const JsonValue& payload =
-                require(doc, "snapshot", JsonValue::Type::String);
-            Result<std::string> raw = base64Decode(payload.string);
-            if (!raw)
-                bad(raw.error().message);
-            req.snapshot = std::move(raw.value());
-        } else if (doc.find("snapshot") != nullptr) {
-            bad(strCat("\"snapshot\" is not valid for query \"",
-                       query.string, '"'));
-        }
-
-        if (const JsonValue* gpu =
-                optional(doc, "gpu", JsonValue::Type::String)) {
-            if (!isPerGpuKind(req.query))
-                bad(strCat("\"gpu\" is not valid for query \"",
-                           query.string, "\"; use \"gpus\""));
-            if (gpu->string.empty())
-                bad("\"gpu\" must not be empty");
-            req.gpu = gpu->string;
-        } else if (isPerGpuKind(req.query)) {
-            bad(strCat("query \"", query.string,
-                       "\" requires a \"gpu\""));
-        }
-
-        if (const JsonValue* gpus =
-                optional(doc, "gpus", JsonValue::Type::Array)) {
-            if (isPerGpuKind(req.query))
-                bad(strCat("\"gpus\" is not valid for query \"",
-                           query.string, "\"; use \"gpu\""));
-            for (const JsonValue& g : gpus->array) {
-                if (g.type != JsonValue::Type::String ||
-                    g.string.empty())
-                    bad("\"gpus\" entries must be non-empty strings");
-                req.gpus.push_back(g.string);
-            }
-        }
-
-        if (const JsonValue* scenario =
-                optional(doc, "scenario", JsonValue::Type::Object))
-            req.scenario = parseScenario(*scenario);
-
-        if (const JsonValue* rates =
-                optional(doc, "rates", JsonValue::Type::Object)) {
-            for (const auto& [name, rate] : rates->object) {
-                if (rate.type != JsonValue::Type::Number ||
-                    rate.number <= 0.0)
-                    bad(strCat("rate for \"", name,
-                               "\" must be a positive number"));
-                req.rates.push_back({"user", name, rate.number});
-            }
-        }
+        checkRequest(req, present);
         return req;
-    } catch (const ParseErr& err) {
+    } catch (const DecodeError& err) {
         return Error{ErrorCode::InvalidArgument,
                      strCat("bad request: ", err.msg)};
     }
@@ -701,120 +650,13 @@ parsePlanRequest(const std::string& line)
 std::string
 writePlanRequest(const PlanRequest& request)
 {
-    std::string out = "{";
-    if (!request.id.empty())
-        out += strCat("\"id\":", quoted(request.id), ',');
-    if (!request.tenant.empty())
-        out += strCat("\"tenant\":", quoted(request.tenant), ',');
-    out += strCat("\"query\":", quoted(queryKindName(request.query)));
-    if (!request.gpu.empty())
-        out += strCat(",\"gpu\":", quoted(request.gpu));
-    if (!request.gpus.empty()) {
-        out += ",\"gpus\":[";
-        for (std::size_t i = 0; i < request.gpus.size(); ++i)
-            out += strCat(i ? "," : "", quoted(request.gpus[i]));
-        out += "]";
-    }
-    // Live kinds carry no workload fields; writing the default scenario
-    // anyway would produce a line the (strict) parser rejects.
-    if (isLiveKind(request.query)) {
-        if (request.query == QueryKind::LoadSnapshot)
-            out += strCat(",\"snapshot\":",
-                          quoted(base64Encode(request.snapshot)));
-        out += "}";
-        return out;
-    }
-    // The scenario serializes as explicit scalars (no preset needed:
-    // the scalars fully determine it). Only preset models have a wire
-    // spelling; a foreign ModelSpec cannot round-trip and is omitted.
-    out += ",\"scenario\":{";
-    const std::string model = modelWireName(request.scenario.model);
-    if (!model.empty())
-        out += strCat("\"model\":", quoted(model), ',');
-    out += strCat(
-        "\"median_seq_len\":", request.scenario.medianSeqLen,
-        ",\"length_sigma\":", fmtNumber(request.scenario.lengthSigma),
-        ",\"num_queries\":", fmtNumber(request.scenario.numQueries),
-        ",\"epochs\":", fmtNumber(request.scenario.epochs),
-        ",\"sparse\":", request.scenario.sparse ? "true" : "false",
-        "}");
-    if (!request.rates.empty()) {
-        out += ",\"rates\":{";
-        for (std::size_t i = 0; i < request.rates.size(); ++i)
-            out += strCat(i ? "," : "", quoted(request.rates[i].gpuName),
-                          ':', fmtNumber(request.rates[i].dollarsPerHour));
-        out += "}";
-    }
-    out += "}";
-    return out;
+    return writeFields<kRequestFields>(request, true);
 }
 
 std::string
 writePlanResponse(const PlanResponse& response)
 {
-    std::string out = "{";
-    if (!response.id.empty())
-        out += strCat("\"id\":", quoted(response.id), ',');
-    out += strCat("\"query\":", quoted(queryKindName(response.query)),
-                  ",\"ok\":", response.ok ? "true" : "false");
-    if (!response.ok) {
-        out += strCat(",\"error\":", quoted(response.errorCode),
-                      ",\"message\":", quoted(response.errorMessage),
-                      "}");
-        return out;
-    }
-    switch (response.query) {
-    case QueryKind::MaxBatch:
-    case QueryKind::Throughput:
-        out += strCat(",\"value\":", fmtNumber(response.value));
-        break;
-    case QueryKind::CostTable:
-    case QueryKind::CheapestPlan: {
-        out += ",\"rows\":[";
-        for (std::size_t i = 0; i < response.rows.size(); ++i) {
-            const CostRow& row = response.rows[i];
-            out += strCat(
-                i ? "," : "", "{\"gpu\":", quoted(row.gpuName),
-                ",\"mem_gb\":", fmtNumber(row.memGB),
-                ",\"max_batch\":", row.maxBatchSize,
-                ",\"qps\":", fmtNumber(row.throughputQps),
-                ",\"usd_per_hour\":", fmtNumber(row.dollarsPerHour),
-                ",\"total_usd\":", fmtNumber(row.totalDollars), "}");
-        }
-        out += "]";
-        break;
-    }
-    case QueryKind::Report:
-        out += strCat(",\"report\":", quoted(response.report));
-        break;
-    case QueryKind::Snapshot:
-        // value = raw byte count, so a client can sanity-check the
-        // decode without understanding the payload.
-        out += strCat(",\"value\":", fmtNumber(
-                          static_cast<double>(response.snapshot.size())),
-                      ",\"snapshot\":",
-                      quoted(base64Encode(response.snapshot)));
-        break;
-    case QueryKind::Fleet:
-    case QueryKind::LoadSnapshot:
-        // fleet: value = steps simulated (the thundering-herd counter
-        // the fleet bench asserts over the wire); load_snapshot: value
-        // = plans adopted from the payload. report = status text.
-        out += strCat(",\"value\":", fmtNumber(response.value),
-                      ",\"report\":", quoted(response.report));
-        break;
-    case QueryKind::Stats:
-        // value = entry count; statsJson is already a serialized JSON
-        // object (StatsSnapshot::toJson() or the router aggregate) and
-        // embeds verbatim so shard payloads forward byte-identically.
-        out += strCat(",\"value\":", fmtNumber(response.value),
-                      ",\"stats\":",
-                      response.statsJson.empty() ? "{}"
-                                                 : response.statsJson);
-        break;
-    }
-    out += "}";
-    return out;
+    return writeFields<kResponseFields>(response, response.ok);
 }
 
 std::string
@@ -822,13 +664,13 @@ writeProtocolError(const std::string& id, const std::string& message)
 {
     // No "query" field: the line never parsed, so echoing the default
     // kind would mislead clients that dispatch on it.
-    std::string out = "{";
-    if (!id.empty())
-        out += strCat("\"id\":", quoted(id), ',');
-    out += strCat("\"ok\":false,\"error\":\"",
-                  errorCodeName(ErrorCode::InvalidArgument),
-                  "\",\"message\":", quoted(message), "}");
-    return out;
+    PlanResponse response;
+    response.id = id;
+    response.errorCode = errorCodeName(ErrorCode::InvalidArgument);
+    response.errorMessage = message;
+    constexpr std::size_t kQueryRow = rowOf(kResponseFields, "query");
+    return writeFields<kResponseFields>(response, false,
+                                        ~(FieldSet{1} << kQueryRow));
 }
 
 PlanResponse

@@ -22,16 +22,14 @@
  *   {"id":"t3-q1","query":"report","gpu":"A40",
  *    "scenario":{"model":"blackmamba2p8b","num_queries":2e6}}
  *
- * The parser/writer are hand-rolled (in the spirit of `common/table`:
- * small, dependency-free, diff-friendly) and strict: unknown keys,
- * wrong types, missing required fields, and out-of-domain values all
- * come back as `InvalidArgument` — a service must reject, not guess.
+ * Every kind and field is declared once, in serve/schema.hpp, which
+ * this JSON codec and the binary one (serve/wire.hpp) both walk;
+ * docs/PROTOCOL.md is the normative spec. The parser is hand-rolled
+ * and strict: unknown keys, wrong types, missing required fields, and
+ * out-of-domain values all come back as `InvalidArgument` — a service
+ * must reject, not guess.
  *
- * Scenario objects accept `preset` (gs_math | commonsense15k |
- * open_orca), `model` (mixtral8x7b | blackmamba2p8b), and the scalar
- * overrides `median_seq_len`, `length_sigma`, `num_queries`, `epochs`,
- * `sparse`; overrides apply on top of the preset. `rates` maps GPU
- * names to positive $/hr added to the service catalog via
+ * `rates` entries are added to the service catalog via
  * `CloudCatalog::withRate`, so requests can price GPUs the built-in
  * CUDO *price list* does not know. The GPU must still have a known
  * spec to simulate — today that means the paper presets, of which
@@ -79,10 +77,9 @@ enum class QueryKind {
 const char* queryKindName(QueryKind kind);
 
 /**
- * True for the introspection kinds (snapshot / fleet / load_snapshot /
- * stats): answered synchronously from live service state, never cached,
- * coalesced, or billed, and they take no workload fields (gpu /
- * scenario / rates / tenant).
+ * True for the live kinds (KindClass::Live in serve/schema.hpp):
+ * answered synchronously from live service state, never cached,
+ * coalesced, or billed.
  */
 bool isLiveKind(QueryKind kind);
 

@@ -24,18 +24,18 @@
  * mixed traffic byte-verbatim over one shard connection.
  *
  * The payload starts with a message-type byte (`WireMsg`) followed by
- * tag-encoded fields in strictly ascending tag order. Primitives:
+ * tag-encoded fields in strictly ascending tag order; the tags are
+ * declared with the JSON keys in serve/schema.hpp. Primitives:
  * strings are u32-LE length + raw bytes (snapshots ride as raw binary,
  * no base64), doubles are IEEE-754 little-endian bit patterns (exact
  * round-trip — re-serializing a decoded message preserves coalescing
  * identity and golden bytes), integers are fixed-width little-endian.
  *
- * Decoding is strict and bounds-checked, mirroring the JSON parser's
+ * Decoding is strict and bounds-checked, with the JSON parser's
  * valid-request-or-typed-error contract: unknown tags, duplicate or
  * out-of-order tags, truncated fields, non-finite doubles, and every
- * semantic rule of `parsePlanRequest` (live kinds take no workload
- * fields, per-GPU kinds require a gpu, ...) come back as
- * `InvalidArgument`, never a crash. Framing-level damage (bad magic,
+ * rule of the shared `checkRequest` come back as `InvalidArgument`,
+ * never a crash. Framing-level damage (bad magic,
  * bad version, oversized or empty length) is not decodable at all —
  * `BinaryFramer` in net/framing.hpp poisons the connection instead,
  * because a binary stream cannot resynchronize past a broken header.
@@ -90,8 +90,8 @@ std::string wireFrame(std::string_view payload);
 /** Encodes a request as one complete frame (header included). */
 std::string encodeRequestFrame(const PlanRequest& request);
 
-/** Encodes a response as one complete frame. Field selection mirrors
- *  `writePlanResponse` (per-kind), so decode + writePlanResponse
+/** Encodes a response as one complete frame, with the fields
+ *  `writePlanResponse` selects, so decode + writePlanResponse
  *  reproduces the JSON path's bytes exactly. */
 std::string encodeResponseFrame(const PlanResponse& response);
 

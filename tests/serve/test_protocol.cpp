@@ -322,6 +322,24 @@ TEST(Protocol, MalformedInputIsInvalidArgument)
     }
 }
 
+TEST(Protocol, MedianSeqLenIsAnIntegerUpTo2To53)
+{
+    // 2^53 is the largest integer a JSON number holds exactly; anything
+    // larger (or not an integer) is rejected before it is cast.
+    const std::string prefix =
+        R"({"query":"max_batch","gpu":"A40","scenario":{"median_seq_len":)";
+    Result<PlanRequest> edge =
+        parsePlanRequest(prefix + "9007199254740992}}");
+    ASSERT_TRUE(edge.ok()) << edge.error().describe();
+    EXPECT_EQ(edge.value().scenario.medianSeqLen, std::size_t{1} << 53);
+    for (const char* seq :
+         {"9007199254740994", "1e300", "-1e300", "1e19", "0.5"}) {
+        Result<PlanRequest> parsed = parsePlanRequest(prefix + seq + "}}");
+        ASSERT_FALSE(parsed.ok()) << "accepted median_seq_len " << seq;
+        EXPECT_EQ(parsed.code(), ErrorCode::InvalidArgument) << seq;
+    }
+}
+
 TEST(Protocol, ResponsesSerializeBothOutcomes)
 {
     PlanResponse ok;

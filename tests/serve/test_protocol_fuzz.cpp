@@ -24,7 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "seed_messages.hpp"
 #include "serve/protocol.hpp"
+#include "serve/wire.hpp"
 
 namespace ftsim {
 namespace {
@@ -59,24 +61,16 @@ seedCorpus()
         R"({"id":"\uDC00","query":"max_batch","gpu":"A40"})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"epochs":+5}})",
         R"({"query":"max_batch","gpu":"A40","scenario":{"epochs":.5}})",
+        // The median_seq_len range: 2^53 is the largest value a JSON
+        // number holds exactly; 1e300 is far outside any integer type.
+        R"({"query":"max_batch","gpu":"A40",)"
+        R"("scenario":{"median_seq_len":9007199254740992}})",
+        R"({"query":"max_batch","gpu":"A40",)"
+        R"("scenario":{"median_seq_len":1e300}})",
     };
     // Plus the writer's own spelling of every request kind.
-    for (QueryKind kind :
-         {QueryKind::MaxBatch, QueryKind::Throughput,
-          QueryKind::CostTable, QueryKind::CheapestPlan,
-          QueryKind::Report, QueryKind::Stats}) {
-        PlanRequest req;
-        req.id = "fuzz";
-        req.tenant = "fuzz-tenant";
-        req.query = kind;
-        if (kind == QueryKind::CostTable ||
-            kind == QueryKind::CheapestPlan)
-            req.gpus = {"A40", "H100"};
-        else if (!isLiveKind(kind))
-            req.gpu = "A40";  // Live kinds carry no workload fields.
-        req.rates = {{"user", "L40S", 1.05}};
-        corpus.push_back(writePlanRequest(req));
-    }
+    for (const KindSpec& kind : kQueryKinds)
+        corpus.push_back(writePlanRequest(seedRequest(kind.kind)));
     return corpus;
 }
 
@@ -159,21 +153,27 @@ mutate(std::string line, std::mt19937& rng)
     }
 }
 
+constexpr int kIterations = 12000;
+
+/** Mutant @p i of the corpus: 1-3 stacked mutations of a seed line. */
+std::string
+mutant(const std::vector<std::string>& corpus, int i, std::mt19937& rng)
+{
+    std::string line = corpus[static_cast<std::size_t>(i) % corpus.size()];
+    const int rounds = 1 + static_cast<int>(rng() % 3);
+    for (int r = 0; r < rounds; ++r)
+        line = mutate(std::move(line), rng);
+    return line;
+}
+
 TEST(ProtocolFuzz, ParserNeverCrashesAndErrorsAreTyped)
 {
     const std::vector<std::string> corpus = seedCorpus();
     std::mt19937 rng(20260730);  // Fixed seed: a corpus, not a dice roll.
 
-    constexpr int kIterations = 12000;
     int accepted = 0, rejected = 0;
     for (int i = 0; i < kIterations; ++i) {
-        std::string line = corpus[static_cast<std::size_t>(i) %
-                                  corpus.size()];
-        // Stack 1-3 mutations for compound damage.
-        const int rounds = 1 + static_cast<int>(rng() % 3);
-        for (int r = 0; r < rounds; ++r)
-            line = mutate(std::move(line), rng);
-
+        const std::string line = mutant(corpus, i, rng);
         Result<PlanRequest> parsed = parsePlanRequest(line);
         if (!parsed.ok()) {
             // The whole contract for bad input: one typed error.
@@ -199,6 +199,42 @@ TEST(ProtocolFuzz, ParserNeverCrashesAndErrorsAreTyped)
     // The generator must actually exercise both sides of the contract;
     // if either count collapses to ~zero the fuzz has gone blind.
     EXPECT_GT(rejected, kIterations / 2);
+    EXPECT_GT(accepted, 100);
+}
+
+/**
+ * The cross-codec differential: every request the JSON parser accepts,
+ * seeds and mutants alike, must cross the binary codec unchanged in
+ * identity and in its JSON form. Its twin in test_wire_fuzz.cpp runs
+ * the binary corpus the other way.
+ */
+TEST(ProtocolCrossCodec, JsonRequestsSurviveTheBinaryCodec)
+{
+    const std::vector<std::string> corpus = seedCorpus();
+    std::vector<std::string> lines = corpus;
+    std::mt19937 rng(20260730);
+    for (int i = 0; i < kIterations; ++i)
+        lines.push_back(mutant(corpus, i, rng));
+
+    int accepted = 0;
+    for (const std::string& line : lines) {
+        Result<PlanRequest> parsed = parsePlanRequest(line);
+        if (!parsed.ok())
+            continue;
+        ++accepted;
+        const std::string frame = encodeRequestFrame(parsed.value());
+        Result<WireMessage> decoded = decodeWirePayload(
+            std::string_view(frame).substr(kWireHeaderBytes));
+        ASSERT_TRUE(decoded.ok())
+            << line << ": " << decoded.error().describe();
+        ASSERT_EQ(decoded.value().type, WireMsg::Request) << line;
+        const PlanRequest& crossed = decoded.value().request;
+        ASSERT_EQ(crossed.canonicalKey(), parsed.value().canonicalKey())
+            << line;
+        ASSERT_EQ(writePlanRequest(crossed),
+                  writePlanRequest(parsed.value()))
+            << line;
+    }
     EXPECT_GT(accepted, 100);
 }
 

@@ -331,6 +331,12 @@ TEST(Wire, HostilePayloadsAreTypedErrors)
         hostile.push_back(p);
     }
     {
+        // A GPU named twice in rates: its JSON form repeats a key.
+        PlanRequest req = requestOfKind(QueryKind::CostTable);
+        req.rates = {{"user", "L40S", 1.0}, {"user", "L40S", 2.0}};
+        hostile.push_back(payloadOf(encodeRequestFrame(req)));
+    }
+    {
         // Non-finite double: NaN length_sigma inside a scenario.
         std::string p = good;
         // Scenario block sits after: type(1) query-tag(1) kind(1)
@@ -347,6 +353,24 @@ TEST(Wire, HostilePayloadsAreTypedErrors)
         ASSERT_FALSE(decoded.ok())
             << "accepted hostile payload of " << payload.size()
             << " bytes";
+        EXPECT_EQ(decoded.error().code, ErrorCode::InvalidArgument);
+    }
+}
+
+TEST(Wire, MedianSeqLenIsAnIntegerUpTo2To53)
+{
+    // JSON carries numbers as doubles, so 2^53 is the largest length
+    // both codecs hold exactly; past it the JSON form changes the key.
+    PlanRequest req = requestOfKind(QueryKind::MaxBatch);
+    req.scenario.withMedianSeqLen(std::size_t{1} << 53);
+    Result<WireMessage> edge = decodeFrame(encodeRequestFrame(req));
+    ASSERT_TRUE(edge.ok()) << edge.error().describe();
+    EXPECT_EQ(edge.value().request.canonicalKey(), req.canonicalKey());
+    for (std::size_t seq :
+         {std::size_t{0}, (std::size_t{1} << 53) + 1, ~std::size_t{0}}) {
+        req.scenario.withMedianSeqLen(seq);
+        Result<WireMessage> decoded = decodeFrame(encodeRequestFrame(req));
+        ASSERT_FALSE(decoded.ok()) << "accepted median_seq_len " << seq;
         EXPECT_EQ(decoded.error().code, ErrorCode::InvalidArgument);
     }
 }

@@ -29,78 +29,40 @@
 #include <vector>
 
 #include "net/framing.hpp"
+#include "seed_messages.hpp"
 #include "serve/protocol.hpp"
 #include "serve/wire.hpp"
 
 namespace ftsim {
 namespace {
 
-/** Valid frames of every message type the mutator starts from. */
+/** Valid frames of every message type the mutator starts from, plus
+ *  requests at the edge of the shared value rules. */
 std::vector<std::string>
 seedCorpus()
 {
     std::vector<std::string> corpus;
-
-    // One request frame per kind, fields filled per its rules.
-    for (QueryKind kind :
-         {QueryKind::MaxBatch, QueryKind::Throughput,
-          QueryKind::CostTable, QueryKind::CheapestPlan,
-          QueryKind::Report, QueryKind::Snapshot,
-          QueryKind::LoadSnapshot, QueryKind::Fleet,
-          QueryKind::Stats}) {
-        PlanRequest req;
-        req.id = "fuzz";
-        req.query = kind;
-        if (kind == QueryKind::MaxBatch ||
-            kind == QueryKind::Throughput || kind == QueryKind::Report)
-            req.gpu = "A40";
-        else if (kind == QueryKind::CostTable ||
-                 kind == QueryKind::CheapestPlan)
-            req.gpus = {"A40", "H100"};
-        if (kind == QueryKind::LoadSnapshot)
-            req.snapshot = std::string("raw\0bytes\xff", 10);
-        if (!isLiveKind(kind)) {
-            req.tenant = "fuzz-tenant";
-            req.scenario = Scenario::gsMath()
-                               .withMedianSeqLen(256)
-                               .withLengthSigma(0.45)
-                               .withNumQueries(2.0e6)
-                               .withEpochs(3.0);
-            req.rates = {{"user", "L40S", 1.05}};
-        }
-        corpus.push_back(encodeRequestFrame(req));
+    for (const KindSpec& kind : kQueryKinds) {
+        corpus.push_back(encodeRequestFrame(seedRequest(kind.kind)));
+        for (bool ok : {true, false})
+            corpus.push_back(
+                encodeResponseFrame(seedResponse(kind.kind, ok)));
     }
-
-    // Response frames: a value, a cost table, and an error.
-    {
-        PlanResponse resp;
-        resp.query = QueryKind::Throughput;
-        resp.id = "r1";
-        resp.ok = true;
-        resp.value = 1234.5678;
-        corpus.push_back(encodeResponseFrame(resp));
-    }
-    {
-        PlanResponse resp;
-        resp.query = QueryKind::CostTable;
-        resp.id = "r2";
-        resp.ok = true;
-        resp.rows = {{"A40", 48.0, 18, 42.5, 1.28, 96.4},
-                     {"H100", 80.0, 44, 97.25, 4.76, 131.9}};
-        corpus.push_back(encodeResponseFrame(resp));
-    }
-    {
-        PlanRequest failing;
-        failing.id = "r3";
-        failing.query = QueryKind::MaxBatch;
-        corpus.push_back(encodeResponseFrame(errorResponse(
-            failing,
-            Error{ErrorCode::UnknownGpu, "no such GPU \"B300\""})));
-    }
-
     // A protocol-error frame (the third message type).
     corpus.push_back(
         encodeProtocolErrorFrame("p1", "bad frame: fuzz seed"));
+
+    // The largest median_seq_len JSON holds exactly, one past it, and
+    // a GPU named twice in rates (its JSON form repeats an object key).
+    // Only the first is valid.
+    for (std::uint64_t seq : {kMaxMedianSeqLen, kMaxMedianSeqLen + 1}) {
+        PlanRequest req = seedRequest(QueryKind::MaxBatch);
+        req.scenario.withMedianSeqLen(seq);
+        corpus.push_back(encodeRequestFrame(req));
+    }
+    PlanRequest twice = seedRequest(QueryKind::CostTable);
+    twice.rates = {{"user", "L40S", 1.0}, {"user", "L40S", 2.0}};
+    corpus.push_back(encodeRequestFrame(twice));
     return corpus;
 }
 
@@ -166,6 +128,19 @@ mutate(std::string frame, std::mt19937& rng)
     }
 }
 
+constexpr int kIterations = 12000;
+
+/** Mutant @p i of the corpus: 1-3 stacked mutations of a seed frame. */
+std::string
+mutant(const std::vector<std::string>& corpus, int i, std::mt19937& rng)
+{
+    std::string bytes = corpus[static_cast<std::size_t>(i) % corpus.size()];
+    const int rounds = 1 + static_cast<int>(rng() % 3);
+    for (int r = 0; r < rounds; ++r)
+        bytes = mutate(std::move(bytes), rng);
+    return bytes;
+}
+
 /** Feeds @p bytes through a fresh framer and returns every payload it
  *  yields as a *binary* frame (JSON lines the mutant happens to form
  *  are the line parser's problem, fuzzed elsewhere). */
@@ -189,16 +164,9 @@ TEST(WireFuzz, FramerAndDecoderNeverCrashAndErrorsAreTyped)
     const std::vector<std::string> corpus = seedCorpus();
     std::mt19937 rng(20260809);  // Fixed seed: a corpus, not a dice roll.
 
-    constexpr int kIterations = 12000;
     int accepted = 0, rejected = 0, framed = 0;
     for (int i = 0; i < kIterations; ++i) {
-        std::string bytes = corpus[static_cast<std::size_t>(i) %
-                                   corpus.size()];
-        // Stack 1-3 mutations for compound damage.
-        const int rounds = 1 + static_cast<int>(rng() % 3);
-        for (int r = 0; r < rounds; ++r)
-            bytes = mutate(std::move(bytes), rng);
-
+        const std::string bytes = mutant(corpus, i, rng);
         for (const std::string& payload : frameOut(bytes)) {
             ++framed;
             Result<WireMessage> decoded = decodeWirePayload(payload);
@@ -249,6 +217,58 @@ TEST(WireFuzz, FramerAndDecoderNeverCrashAndErrorsAreTyped)
     EXPECT_GT(framed, 1000);
     EXPECT_GT(rejected, 500);
     EXPECT_GT(accepted, 100);
+}
+
+/**
+ * The cross-codec differential, binary side (the JSON side is in
+ * test_protocol_fuzz.cpp): every request frame the binary decoder
+ * accepts, seeds and mutants alike, must write a JSON line the JSON
+ * parser accepts with the same identity.
+ */
+TEST(ProtocolCrossCodec, BinaryRequestsSurviveTheJsonCodec)
+{
+    const std::vector<std::string> corpus = seedCorpus();
+    std::vector<std::string> inputs = corpus;
+    std::mt19937 rng(20260809);
+    for (int i = 0; i < kIterations; ++i)
+        inputs.push_back(mutant(corpus, i, rng));
+
+    int accepted = 0;
+    for (const std::string& bytes : inputs) {
+        for (const std::string& payload : frameOut(bytes)) {
+            Result<WireMessage> decoded = decodeWirePayload(payload);
+            if (!decoded.ok() || decoded.value().type != WireMsg::Request)
+                continue;
+            ++accepted;
+            const PlanRequest& req = decoded.value().request;
+            const std::string line = writePlanRequest(req);
+            Result<PlanRequest> parsed = parsePlanRequest(line);
+            ASSERT_TRUE(parsed.ok())
+                << line << ": " << parsed.error().describe();
+            ASSERT_EQ(parsed.value().canonicalKey(), req.canonicalKey())
+                << line;
+        }
+    }
+    EXPECT_GT(accepted, 100);
+}
+
+/** Every kind and outcome writes the same JSON line whether or not the
+ *  response crossed the binary codec first. */
+TEST(ProtocolCrossCodec, ResponsesMatchAfterABinaryRoundTrip)
+{
+    for (const KindSpec& kind : kQueryKinds) {
+        for (bool ok : {true, false}) {
+            const PlanResponse original = seedResponse(kind.kind, ok);
+            const std::string frame = encodeResponseFrame(original);
+            Result<WireMessage> decoded = decodeWirePayload(
+                std::string_view(frame).substr(kWireHeaderBytes));
+            ASSERT_TRUE(decoded.ok())
+                << kind.name << ": " << decoded.error().describe();
+            EXPECT_EQ(writePlanResponse(decoded.value().response),
+                      writePlanResponse(original))
+                << kind.name << (ok ? " ok" : " error");
+        }
+    }
 }
 
 TEST(WireFuzz, SplitPointsNeverChangeTheOutcome)

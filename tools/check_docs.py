@@ -3,17 +3,13 @@
 
 The spec is normative, so the failure mode to guard against is not a
 wrong sentence (tests cannot read prose) but a *missing* one: somebody
-adds a QueryKind, an error code, or a wire-format constant and forgets
-the spec. This script scrapes the authoritative switch statements and
-declarations straight out of the sources:
-
-- query-kind wire names from ``queryKindName`` in serve/protocol.cpp;
-- error-code names from ``errorCodeName`` in common/result.cpp;
-- wire constants (``kWire*``) and ``WireMsg`` member names from
-  serve/wire.hpp;
-
-then fails (exit 1, one line per omission) if docs/PROTOCOL.md does
-not mention every single one. Run from the repo root (ci.sh does).
+adds a query kind, a field, an error code, or a wire-format constant
+and forgets the spec. This script reads the protocol schema
+(serve/schema.hpp: each kind's name and byte, each field's JSON key and
+binary tag), ``errorCodeName`` in common/result.cpp, and the ``kWire*``
+constants and ``WireMsg`` members in serve/wire.hpp, then fails (exit
+1, one line per omission) if docs/PROTOCOL.md does not mention every
+one. Run from the repo root (ci.sh does).
 
 Deliberately dumb: substring presence, no markdown parsing. The spec
 can say anything it likes about a name, but it must say *something*.
@@ -31,58 +27,56 @@ def read(path):
         return f.read()
 
 
-def switch_body(source, function_name):
-    """The text between a function's ``switch`` and its closing brace."""
-    start = source.index(function_name)
-    start = source.index("switch", start)
-    end = source.index("\n}", start)
-    return source[start:end]
-
-
-def query_kinds():
-    body = switch_body(read("src/serve/protocol.cpp"), "queryKindName")
-    kinds = re.findall(r'return "([a-z_]+)";', body)
-    assert kinds, "no query kinds scraped from protocol.cpp"
-    return kinds
+def scrape(pattern, source, what):
+    found = re.findall(pattern, source, re.MULTILINE)
+    assert found, "no %s scraped" % what
+    return found
 
 
 def error_codes():
-    body = switch_body(read("src/common/result.cpp"), "errorCodeName")
-    codes = re.findall(r"case ErrorCode::(\w+)", body)
-    assert codes, "no error codes scraped from result.cpp"
-    return codes
+    source = read("src/common/result.cpp")
+    start = source.index("switch", source.index("errorCodeName"))
+    body = source[start:source.index("\n}", start)]
+    return scrape(r"case ErrorCode::(\w+)", body, "error codes")
 
 
 def wire_names():
     header = read("src/serve/wire.hpp")
-    names = re.findall(r"constexpr \w+(?:\s\w+)? (kWire\w+)", header)
-    assert names, "no kWire constants scraped from wire.hpp"
+    names = scrape(r"constexpr \w+(?:\s\w+)? (kWire\w+)", header,
+                   "kWire constants")
     enum = header[header.index("enum class WireMsg"):]
     enum = enum[: enum.index("};")]
-    members = re.findall(r"^\s+(\w+) = 0x", enum, re.MULTILINE)
-    assert members, "no WireMsg members scraped from wire.hpp"
+    members = scrape(r"^\s+(\w+) = 0x", enum, "WireMsg members")
     return names + ["WireMsg::" + m for m in members]
 
 
 def main():
     spec = read("docs/PROTOCOL.md")
-    missing = []
-    for kind in query_kinds():
-        # Query kinds appear quoted, the way a request line spells them.
-        if '"%s"' % kind not in spec:
-            missing.append('query kind "%s"' % kind)
-    for code in error_codes():
-        if code not in spec:
-            missing.append("error code %s" % code)
-    for name in wire_names():
-        if name not in spec:
-            missing.append("wire name %s" % name)
+    schema = read("src/serve/schema.hpp")
+    parts = {"spec": spec}
+    wanted = []  # (text that must appear, the part of the spec it is in)
+    for name, byte in scrape(r'\{QueryKind::\w+, "(\w+)", (\d+),',
+                             schema, "query kinds"):
+        wanted += [('"%s"' % name, "spec"), ('%s `"%s"`' % (byte, name),
+                                             "spec")]
+    for msg, end in (("Request", "**Response tags**"),
+                     ("Response", "**Protocol-error frames**")):
+        part = "%s tags" % msg
+        parts[part] = spec[spec.index("**%s**" % part):spec.index(end)]
+        for key, tag in scrape(r'\{"(\w+)", (\d+), &Plan%s::' % msg,
+                               schema, msg + " fields"):
+            wanted += [("`%s`" % key, "spec"), ("| %s | %s |" % (tag, key),
+                                                part)]
+    wanted += [(name, "spec") for name in error_codes() + wire_names()]
+
+    missing = [(text, part) for text, part in wanted
+               if text not in parts[part]]
+    for text, part in missing:
+        print("check_docs: docs/PROTOCOL.md (%s) does not mention %s"
+              % (part, text), file=sys.stderr)
     if missing:
-        for item in missing:
-            print("check_docs: docs/PROTOCOL.md does not mention",
-                  item, file=sys.stderr)
         return 1
-    print("check_docs: docs/PROTOCOL.md covers every query kind, "
+    print("check_docs: docs/PROTOCOL.md covers every query kind, field, "
           "error code, and wire name")
     return 0
 
