@@ -365,13 +365,16 @@ echo "ci.sh: kill -9 shard healed via respawn + warm rejoin, answers stayed gold
 # the same instrumentation. Wire* adds the ISSUE-10 binary codec,
 # framing, and frame-fuzz suites (hostile length prefixes and tag
 # soup must be typed errors, never UB); Net*/Router* already match
-# the NetWireE2E/RouterWire socket suites.
+# the NetWireE2E/RouterWire socket suites. StrCat* runs the key
+# formatter (to_chars into stack buffers) over integer limits,
+# subnormals, NaN payloads and random bit patterns, and KeySpelling*
+# the byte-pinned cache and routing keys built on it.
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DFTSIM_SANITIZE=ON \
       -DFTSIM_BUILD_BENCH=OFF -DFTSIM_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "$SAN_DIR" -j --target ftsim_tests
 "$SAN_DIR/ftsim_tests" \
-    --gtest_filter='Protocol*:PlanService*:LruCache*:ServeE2E*:Histogram*:Net*:Router*:HashRing*:RegistrySnapshot*:Base64*:FaultProxy*:StatsRegistry*:StepPlanSweep*:Wire*'
+    --gtest_filter='Protocol*:PlanService*:LruCache*:ServeE2E*:Histogram*:Net*:Router*:HashRing*:RegistrySnapshot*:Base64*:FaultProxy*:StatsRegistry*:StepPlanSweep*:Wire*:StrCat*:KeySpelling*'
 echo "ci.sh: ASan+UBSan serve/fuzz/net/fleet/stats suites green"
 
 # Optional TSan job: the stats registry's whole point is lock-free

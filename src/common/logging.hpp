@@ -12,11 +12,13 @@
  * the run.
  */
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace ftsim {
 
@@ -84,31 +86,98 @@ void debug(const std::string& message);
 [[noreturn]] void panic(const std::string& message);
 
 /**
- * Convenience formatter: streams all arguments into one string.
+ * A double that strCat/strAppend spell losslessly, as strExact does.
+ * Lets key builders append exact doubles without a temporary string.
+ */
+struct Exact {
+    double value;
+};
+
+namespace detail {
+
+template <typename T>
+inline constexpr bool kUnsupportedStrArg = false;
+
+/** Appends one strCat argument, spelled as a default ostream would. */
+template <typename T>
+void
+appendStrArg(std::string& out, const T& arg)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        out += arg ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, char> ||
+                         std::is_same_v<T, signed char> ||
+                         std::is_same_v<T, unsigned char>) {
+        out += static_cast<char>(arg);
+    } else if constexpr (std::is_integral_v<T>) {
+        char buf[24];
+        const std::to_chars_result r =
+            std::to_chars(buf, buf + sizeof buf, arg);
+        out.append(buf, r.ptr);
+    } else if constexpr (std::is_same_v<T, double> ||
+                         std::is_same_v<T, float>) {
+        // An ostream's default precision is 6 digits of %g.
+        char buf[32];
+        const int n = std::snprintf(buf, sizeof buf, "%g",
+                                    static_cast<double>(arg));
+        out.append(buf, static_cast<std::size_t>(n));
+    } else if constexpr (std::is_same_v<T, Exact>) {
+        // %.17g round-trips every distinct double to a distinct
+        // spelling; to_chars writes exactly the bytes printf would.
+        char buf[32];
+        const std::to_chars_result r =
+            std::to_chars(buf, buf + sizeof buf, arg.value,
+                          std::chars_format::general, 17);
+        out.append(buf, r.ptr);
+    } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+        out += std::string_view(arg);
+    } else {
+        static_assert(kUnsupportedStrArg<T>,
+                      "strCat: pass a string, character, bool, integer, "
+                      "float, double or Exact");
+    }
+}
+
+}  // namespace detail
+
+/**
+ * Appends every argument to @p out, spelled as streaming it into a
+ * default std::ostream would: strings and characters as they are,
+ * bool as 0/1, integers in decimal, float/double with 6 significant
+ * digits (%g), and Exact losslessly (%.17g). Key builders append into
+ * one buffer with this; any other argument type is a compile error.
+ */
+template <typename... Args>
+void
+strAppend(std::string& out, const Args&... args)
+{
+    (detail::appendStrArg(out, args), ...);
+}
+
+/**
+ * Convenience formatter: strAppend into a fresh string.
  *
  * Example: fatal(strCat("batch size ", bsz, " exceeds maximum ", max));
  */
 template <typename... Args>
 std::string
-strCat(Args&&... args)
+strCat(const Args&... args)
 {
-    std::ostringstream oss;
-    (oss << ... << std::forward<Args>(args));
-    return oss.str();
+    std::string out;
+    strAppend(out, args...);
+    return out;
 }
 
 /**
  * Lossless double-to-string for cache keys and fingerprints. strCat's
- * default ostream precision keeps only 6 significant digits, so two
- * values differing past the 6th digit would collide as keys — %.17g
- * round-trips every distinct double to a distinct spelling.
+ * 6 significant digits would let two values differing past the 6th
+ * digit collide as keys; %.17g round-trips every distinct double to a
+ * distinct spelling.
  */
 inline std::string
 strExact(double x)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", x);
-    return buf;
+    return strCat(Exact{x});
 }
 
 }  // namespace ftsim

@@ -243,10 +243,10 @@ formatStatsSummary(const StatsSnapshot& snapshot, const std::string& tool)
         if (head != group) {
             if (!out.empty())
                 out += '\n';
-            out += strCat(tool, ": ", head, ':');
+            strAppend(out, tool, ": ", head, ':');
             group = head;
         }
-        out += strCat(' ', tail, '=', entryValue(e));
+        strAppend(out, ' ', tail, '=', entryValue(e));
     }
     if (!out.empty())
         out += '\n';

@@ -53,8 +53,8 @@ CloudCatalog::fingerprint() const
 {
     std::string out;
     for (const auto& o : offerings_)
-        out += strCat(o.provider, '=', o.gpuName, '@',
-                      strExact(o.dollarsPerHour), ';');
+        strAppend(out, o.provider, '=', o.gpuName, '@',
+                  Exact{o.dollarsPerHour}, ';');
     return out;
 }
 

@@ -56,22 +56,31 @@ Scenario::describe() const
 std::string
 Scenario::canonicalKey() const
 {
-    // strExact throughout: keys must distinguish doubles past the 6
-    // significant digits strCat would keep, or two tenants' distinct
+    std::string key;
+    key.reserve(256);
+    appendCanonicalKey(key);
+    return key;
+}
+
+void
+Scenario::appendCanonicalKey(std::string& out) const
+{
+    // Exact throughout: keys must distinguish doubles past the 6
+    // significant digits a plain double gets, or two tenants' distinct
     // scenarios would alias one cached answer.
-    return strCat(model.fingerprint(), "|seq=", medianSeqLen,
-                  "|sigma=", strExact(lengthSigma),
-                  "|q=", strExact(numQueries),
-                  "|ep=", strExact(epochs), "|sparse=", sparse,
-                  "|cal=", strExact(calibration.hostOverheadUs), ',',
-                  strExact(calibration.matmulEfficiency), ',',
-                  strExact(calibration.vectorEfficiency), ',',
-                  strExact(calibration.dequantEfficiency), ',',
-                  strExact(calibration.memoryEfficiency), ',',
-                  strExact(calibration.blocksPerSm), ',',
-                  strExact(calibration.minOccupancy), ',',
-                  strExact(calibration.stepOverheadMs), ',',
-                  strExact(calibration.optimizerPasses));
+    model.appendFingerprint(out);
+    strAppend(out, "|seq=", medianSeqLen, "|sigma=", Exact{lengthSigma},
+              "|q=", Exact{numQueries}, "|ep=", Exact{epochs},
+              "|sparse=", sparse,
+              "|cal=", Exact{calibration.hostOverheadUs}, ',',
+              Exact{calibration.matmulEfficiency}, ',',
+              Exact{calibration.vectorEfficiency}, ',',
+              Exact{calibration.dequantEfficiency}, ',',
+              Exact{calibration.memoryEfficiency}, ',',
+              Exact{calibration.blocksPerSm}, ',',
+              Exact{calibration.minOccupancy}, ',',
+              Exact{calibration.stepOverheadMs}, ',',
+              Exact{calibration.optimizerPasses});
 }
 
 }  // namespace ftsim

@@ -125,6 +125,9 @@ struct Scenario {
      * one planner and one step cache.
      */
     std::string canonicalKey() const;
+
+    /** Appends canonicalKey() to @p out (for key builders). */
+    void appendCanonicalKey(std::string& out) const;
 };
 
 }  // namespace ftsim

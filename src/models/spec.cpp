@@ -115,13 +115,20 @@ ModelSpec::sparsity(bool sparse) const
 std::string
 ModelSpec::fingerprint() const
 {
-    return strCat(name, '|', static_cast<int>(backbone), '|',
-                  static_cast<int>(expertKind), '|', nLayers, '|',
-                  dModel, '|', nHeads, '|', nKvHeads, '|', dFf, '|',
-                  nExperts, '|', topKSparse, '|', vocab, '|', dInner,
-                  '|', dState, '|', convK, '|',
-                  static_cast<int>(strategy), '|', loraRank, '|',
-                  strExact(bytesPerParam));
+    std::string out;
+    appendFingerprint(out);
+    return out;
+}
+
+void
+ModelSpec::appendFingerprint(std::string& out) const
+{
+    strAppend(out, name, '|', static_cast<int>(backbone), '|',
+              static_cast<int>(expertKind), '|', nLayers, '|', dModel,
+              '|', nHeads, '|', nKvHeads, '|', dFf, '|', nExperts, '|',
+              topKSparse, '|', vocab, '|', dInner, '|', dState, '|',
+              convK, '|', static_cast<int>(strategy), '|', loraRank,
+              '|', Exact{bytesPerParam});
 }
 
 ModelSpec

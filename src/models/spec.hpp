@@ -104,6 +104,9 @@ struct ModelSpec {
      */
     std::string fingerprint() const;
 
+    /** Appends fingerprint() to @p out (for key builders). */
+    void appendFingerprint(std::string& out) const;
+
     // ----- The two models of the paper (Table I) -----
 
     /** Mixtral-8x7B: 32 layers, 8 experts, SwiGLU, QLoRA 4-bit. */

@@ -69,7 +69,8 @@ ClientFrontEnd::ClientFrontEnd(FrontEndSettings settings, EventLoop& loop,
       oversized_(stats.counter(settings_.prefix + ".oversized_lines")),
       poisoned_(stats.counter(settings_.prefix + ".wire.poisoned")),
       idleClosed_(stats.counter(settings_.prefix + ".idle_closed")),
-      forcedClosed_(stats.counter(settings_.prefix + ".forced_closed"))
+      forcedClosed_(stats.counter(settings_.prefix + ".forced_closed")),
+      drainingGauge_(stats.gauge(settings_.prefix + ".draining"))
 {
 }
 
@@ -91,6 +92,7 @@ ClientFrontEnd::sweep()
     if (loop_.stopRequested() && !draining_) {
         draining_ = true;
         drainStartMs_ = loop_.nowMs();
+        drainingGauge_.set(1.0);
         listener_.close();
         for (auto& conn : conns_) {
             conn->inputClosed = true;

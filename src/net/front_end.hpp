@@ -32,7 +32,8 @@
  * Counters, under the daemon's prefix `<p>`: `<p>.conn.accepted`,
  * `<p>.conn.closed`, `<p>.responses`, `<p>.protocol_errors`,
  * `<p>.oversized_lines`, `<p>.wire.poisoned`, `<p>.idle_closed` and
- * `<p>.forced_closed`.
+ * `<p>.forced_closed`; one gauge, `<p>.draining`, which turns 1 when
+ * the stop drain starts.
  *
  * All of it runs on the daemon's loop thread. A round is: `sweep()`,
  * `watch()`, the daemon's own watches, `EventLoop::poll()`,
@@ -167,6 +168,7 @@ class ClientFrontEnd {
     StatsCounter& poisoned_;
     StatsCounter& idleClosed_;
     StatsCounter& forcedClosed_;
+    StatsGauge& drainingGauge_;
 };
 
 }  // namespace ftsim

@@ -710,13 +710,12 @@ struct RouterServer::Impl {
             " unavailable=", shardFailures.load(),
             " healed=", healed.load(),
             " respawned=", respawned.load(),
-            " last_heal_ms=", strExact(lastHealMs.load()));
+            " last_heal_ms=", Exact{lastHealMs.load()});
         for (const auto& shard : shards)
-            response.report += strCat(
-                "; ", shard->endpoint.name, '=',
-                shardStateName(shard->state.load()),
-                " routed=", shard->routed.load(),
-                " heals=", shard->heals.load());
+            strAppend(response.report, "; ", shard->endpoint.name, '=',
+                      shardStateName(shard->state.load()),
+                      " routed=", shard->routed.load(),
+                      " heals=", shard->heals.load());
         slot.complete(response);
     }
 

@@ -208,11 +208,10 @@ PlanService::finishExecution(const std::string& key, bool cacheable,
         inflight_.erase(it);
         // Resolve *inside* the lock, last among the state changes:
         // any thread that finds the promoted entry in answers_ (the
-        // same lock) sees a ready future, so the cached path's
-        // synchronous notify never announces an unready answer — and
-        // a caller unblocked by get() observes every cache/quota/
-        // counter effect of its request already applied, the serial
-        // determinism the golden e2e pins.
+        // same lock) gets an already-ready future, which needs no
+        // notify — and a caller unblocked by get() observes every
+        // cache/quota/counter effect of its request already applied,
+        // the serial determinism the golden e2e pins.
         promise.set_value(std::move(response));
     }
     // Completion callbacks run unlocked, after readiness — the
@@ -244,11 +243,7 @@ PlanService::submit(const PlanRequest& request,
         noteSource(options.source, false, false);
         std::promise<PlanResponse> ready;
         ready.set_value(liveAnswer(request));
-        std::shared_future<PlanResponse> future =
-            ready.get_future().share();
-        if (options.notify)
-            options.notify();
-        return future;
+        return ready.get_future().share();
     }
 
     // Admission control at the door, before any cache lookup: quotas
@@ -265,11 +260,7 @@ PlanService::submit(const PlanRequest& request,
             rejection.id.clear();  // Shared-future id convention.
             std::promise<PlanResponse> ready;
             ready.set_value(std::move(rejection));
-            std::shared_future<PlanResponse> future =
-                ready.get_future().share();
-            if (options.notify)
-                options.notify();  // Ready now: notify synchronously.
-            return future;
+            return ready.get_future().share();
         }
     }
 
@@ -360,14 +351,10 @@ PlanService::submit(const PlanRequest& request,
     noteSource(options.source, ready_now, false);
     if (task) {
         pool_.submit(std::move(task));
-    } else {
-        if (governed) {
-            // Served straight from the answer cache: the admission
-            // slot was only held across this call.
-            releaseTenant(request.tenant);
-        }
-        if (options.notify)
-            options.notify();  // Cached: ready before submit returned.
+    } else if (governed) {
+        // Served straight from the answer cache: the admission slot
+        // was only held across this call.
+        releaseTenant(request.tenant);
     }
     return future;
 }
@@ -441,8 +428,8 @@ PlanService::plannerFor(const PlanRequest& request)
     // Fold the base catalog's identity in alongside the request's
     // (scenario, rates): cached planners must not survive into a
     // different price list should two services ever share a map.
-    const std::string key =
-        strCat(request.plannerKey(), '|', catalog_fingerprint_);
+    std::string key = request.plannerKey();
+    strAppend(key, '|', catalog_fingerprint_);
     std::lock_guard<std::mutex> lock(planners_mutex_);
     if (std::shared_ptr<Planner>* pooled = planners_.get(key)) {
         planner_reuses_.inc();

@@ -146,16 +146,17 @@ struct SubmitOptions {
      */
     std::string source;
     /**
-     * Invoked exactly once when the returned future is ready —
-     * *after* the response is observable through it. For answers that
-     * are ready at submit time (cache hits, quota rejections) the
-     * callback runs synchronously on the submitting thread before
-     * submit() returns; otherwise it runs on the worker that resolved
-     * the execution (shared by every coalesced submission, each of
-     * which registered its own callback). Must be cheap and must not
-     * call back into the service (it runs under no lock, but on the
-     * worker's critical path). The poll-loop front end uses this to
-     * kick its wake pipe.
+     * Invoked once when the returned future becomes ready — *after*
+     * the response is observable through it — but only if it was not
+     * ready when submit() returned. Answers ready at submit time
+     * (answer-cache hits, live kinds, quota rejections) never notify:
+     * the caller checks the future it was handed. Otherwise the
+     * callback runs on the worker that resolved the execution (shared
+     * by every coalesced submission, each of which registered its own
+     * callback). Must be cheap and must not call back into the service
+     * (it runs under no lock, but on the worker's critical path). The
+     * poll-loop front end uses this to kick its wake pipe; it pumps
+     * the ready futures of a round's requests in that same round.
      */
     std::function<void()> notify;
 };
@@ -194,9 +195,10 @@ class PlanService {
     /**
      * submit() with caller identity: @p options.source buckets the
      * submission under `serve.source.<label>.*`, and @p options.notify is
-     * invoked once the future is ready (see SubmitOptions). The
-     * network front end submits through this overload so its poll
-     * loop can sleep until an answer (not a socket) wakes it.
+     * invoked once a future that was not ready on return becomes ready
+     * (see SubmitOptions). The network front end submits through this
+     * overload so its poll loop can sleep until an answer (not a
+     * socket) wakes it.
      */
     std::shared_future<PlanResponse> submit(const PlanRequest& request,
                                             const SubmitOptions& options);

@@ -471,7 +471,7 @@ escapeJson(std::string& out, std::string_view s)
 void
 put(std::string& out, double x, Spelling)
 {
-    out += strExact(x);
+    strAppend(out, Exact{x});
 }
 
 void
@@ -515,12 +515,12 @@ put(std::string& out, const Scenario& scenario, Spelling)
     // scenario. A foreign ModelSpec has no wire spelling and is omitted.
     out += '{';
     if (const WireModel* model = wireModelOf(scenario.model))
-        out += strCat("\"model\":\"", model->name, "\",");
-    out += strCat("\"median_seq_len\":", scenario.medianSeqLen,
-                  ",\"length_sigma\":", strExact(scenario.lengthSigma),
-                  ",\"num_queries\":", strExact(scenario.numQueries),
-                  ",\"epochs\":", strExact(scenario.epochs),
-                  ",\"sparse\":", scenario.sparse ? "true" : "false", '}');
+        strAppend(out, "\"model\":\"", model->name, "\",");
+    strAppend(out, "\"median_seq_len\":", scenario.medianSeqLen,
+              ",\"length_sigma\":", Exact{scenario.lengthSigma},
+              ",\"num_queries\":", Exact{scenario.numQueries},
+              ",\"epochs\":", Exact{scenario.epochs},
+              ",\"sparse\":", scenario.sparse ? "true" : "false", '}');
 }
 
 void
@@ -545,11 +545,11 @@ put(std::string& out, const std::vector<CostRow>& rows, Spelling)
         const CostRow& row = rows[i];
         out += i > 0 ? ",{\"gpu\":" : "{\"gpu\":";
         escapeJson(out, row.gpuName);
-        out += strCat(",\"mem_gb\":", strExact(row.memGB),
-                      ",\"max_batch\":", row.maxBatchSize,
-                      ",\"qps\":", strExact(row.throughputQps),
-                      ",\"usd_per_hour\":", strExact(row.dollarsPerHour),
-                      ",\"total_usd\":", strExact(row.totalDollars), '}');
+        strAppend(out, ",\"mem_gb\":", Exact{row.memGB},
+                  ",\"max_batch\":", row.maxBatchSize,
+                  ",\"qps\":", Exact{row.throughputQps},
+                  ",\"usd_per_hour\":", Exact{row.dollarsPerHour},
+                  ",\"total_usd\":", Exact{row.totalDollars}, '}');
     }
     out += ']';
 }
@@ -586,11 +586,27 @@ writeFields(const Msg& msg, bool ok, FieldSet rows = ~FieldSet{0})
  * ["A40","H100"] (two) and coalesce distinct requests onto one
  * cached answer. The prefix makes the framing unambiguous.
  */
-std::string
-keyElem(const std::string& s)
+void
+appendKeyElem(std::string& key, const std::string& s)
 {
-    return strCat(s.size(), ':', s);
+    strAppend(key, s.size(), ':', s);
 }
+
+/** Appends PlanRequest::plannerKey() of @p request to @p key. */
+void
+appendPlannerKey(std::string& key, const PlanRequest& request)
+{
+    request.scenario.appendCanonicalKey(key);
+    key += "|rates=";
+    for (const CloudOffering& rate : request.rates) {
+        appendKeyElem(key, rate.gpuName);
+        strAppend(key, '@', Exact{rate.dollarsPerHour}, ';');
+    }
+}
+
+/** Room for a typical request key (about 250 bytes), so building one
+ *  allocates once. */
+constexpr std::size_t kKeyReserve = 384;
 
 }  // namespace
 
@@ -603,21 +619,26 @@ isBlankLine(const std::string& line)
 std::string
 PlanRequest::canonicalKey() const
 {
-    std::string key = strCat(queryKindName(query),
-                             "|gpu=", keyElem(gpu), "|gpus=");
-    for (const std::string& g : gpus)
-        key += strCat(keyElem(g), ',');
-    key += strCat('|', plannerKey());
+    std::string key;
+    key.reserve(kKeyReserve);
+    strAppend(key, queryKindName(query), "|gpu=");
+    appendKeyElem(key, gpu);
+    key += "|gpus=";
+    for (const std::string& g : gpus) {
+        appendKeyElem(key, g);
+        key += ',';
+    }
+    key += '|';
+    appendPlannerKey(key, *this);
     return key;
 }
 
 std::string
 PlanRequest::plannerKey() const
 {
-    std::string key = strCat(scenario.canonicalKey(), "|rates=");
-    for (const CloudOffering& rate : rates)
-        key += strCat(keyElem(rate.gpuName), '@',
-                      strExact(rate.dollarsPerHour), ';');
+    std::string key;
+    key.reserve(kKeyReserve);
+    appendPlannerKey(key, *this);
     return key;
 }
 

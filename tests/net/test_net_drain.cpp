@@ -95,6 +95,13 @@ TEST(NetDrain, DeadlineForceClosesAStalledPeer)
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     server.requestStop();
+    // The drain's deadline counts from the virtual time the loop saw
+    // the stop, so the clock may only move once the drain has begun.
+    ASSERT_TRUE(eventually([&server] {
+        const StatsSnapshot stats = server.statsRegistry()->snapshot();
+        const StatEntry* draining = stats.find("net.draining");
+        return draining != nullptr && draining->num() == 1.0;
+    }));
     // Virtual time never moved, so the deadline has not passed; the
     // server must still be draining, not dropping the connection.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -709,8 +709,8 @@ TEST(PlanService, TokenBucketRefillsOnTheInjectedClock)
 TEST(PlanService, SourcesBucketSubmissionsPerConnectionLabel)
 {
     // SubmitOptions::source is the network layer's per-connection
-    // stats hook; notify must fire for ready-now answers too (the
-    // cached duplicate below) — synchronously, per the contract.
+    // stats hook; notify fires only for answers that were not ready
+    // when submit() returned — never for the cached duplicate below.
     PlanService service;
     std::atomic<int> notified{0};
     SubmitOptions options;
@@ -727,11 +727,16 @@ TEST(PlanService, SourcesBucketSubmissionsPerConnectionLabel)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_EQ(notified.load(), 1);
 
-    // Duplicate: served from the answer cache, notified before
-    // submit() returns (the spin above guaranteed finishExecution
-    // promoted the answer).
-    service.submit(probe, options);
-    EXPECT_EQ(notified.load(), 2);
+    // Duplicate: served from the answer cache (the spin above
+    // guaranteed finishExecution promoted the answer), so the future
+    // is ready on return and nothing is notified.
+    std::shared_future<PlanResponse> cached =
+        service.submit(probe, options);
+    ASSERT_TRUE(cached.valid());
+    EXPECT_EQ(cached.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(cached.get().ok);
+    EXPECT_EQ(notified.load(), 1);
 
     const StatsSnapshot stats = service.statsRegistry()->snapshot();
     ASSERT_EQ(statRows(stats, "serve.source.", "requests").size(), 1u);
