@@ -10,6 +10,13 @@ cmake -B "$BUILD_DIR" -S .   # Default build type is Release (CMakeLists).
 cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -j)
 
+# One usable CPU: PlanService starts no worker and the submitting
+# thread (a daemon's loop) plans each miss. The serving and socket
+# suites must pass in that mode too, with the same assertions.
+ONE_CPU_FILTER='PlanService*:Parallel*:NetE2E*:NetWireE2E*:NetDrain*:ServeE2E*'
+taskset -c 0 "$BUILD_DIR/ftsim_tests" --gtest_filter="$ONE_CPU_FILTER"
+echo "ci.sh: serve/net suites green on one CPU (taskset -c 0)"
+
 # Perf smoke: time the planner hot path and emit BENCH_planner.json as
 # a build artifact. Gated against bench/baselines by bench_check below.
 "$BUILD_DIR/bench/bench_perf_planner" "$BUILD_DIR/BENCH_planner.json"
@@ -133,6 +140,31 @@ kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"   # Graceful drain must exit 0.
 trap - EXIT
 echo "ci.sh: ftsim_served/ftsim_client socket e2e matches the golden (clean SIGTERM drain)"
+
+# The same socket golden through a daemon confined to one CPU, where
+# the loop thread plans every miss itself (no worker, no wake pipe
+# hand-off): who plans must never change a byte. Token buckets are
+# stateful, so the replay gets its own daemon.
+ONECPU_LOG="$BUILD_DIR/ftsim_served_onecpu.ci.log"
+taskset -c 0 "$BUILD_DIR/ftsim_served" --port 0 --max-answers 4 \
+    --max-planners 2 --tenant-rps 0.000001 2> "$ONECPU_LOG" &
+ONECPU_PID=$!
+trap 'kill -TERM "$ONECPU_PID" 2>/dev/null || true' EXIT
+for _ in $(seq 1 100); do
+  grep -q "listening on" "$ONECPU_LOG" 2>/dev/null && break
+  sleep 0.1
+done
+ONECPU_PORT=$(sed -n 's/.*listening on [^:]*:\([0-9]*\).*/\1/p' \
+              "$ONECPU_LOG" | head -1)
+[ -n "$ONECPU_PORT" ] \
+  || { echo "ci.sh: one-CPU daemon did not start"; exit 1; }
+cat examples/serve_requests.jsonl examples/serve_requests_governed.jsonl \
+  | "$BUILD_DIR/ftsim_client" - --port "$ONECPU_PORT" --timeout-ms 30000 \
+  | diff -u tests/integration/golden_serve_e2e.jsonl -
+kill -TERM "$ONECPU_PID"
+wait "$ONECPU_PID"
+trap - EXIT
+echo "ci.sh: one-CPU daemon (taskset -c 0) matches the SAME golden byte-for-byte"
 
 # Binary wire golden e2e: the same governed fixtures as binary frames
 # (ftsim_client --wire binary encodes each parsed line as a frame and
@@ -368,14 +400,17 @@ echo "ci.sh: kill -9 shard healed via respawn + warm rejoin, answers stayed gold
 # the NetWireE2E/RouterWire socket suites. StrCat* runs the key
 # formatter (to_chars into stack buffers) over integer limits,
 # subnormals, NaN payloads and random bit patterns, and KeySpelling*
-# the byte-pinned cache and routing keys built on it.
+# the byte-pinned cache and routing keys built on it. The second run
+# repeats the serve and socket suites on one CPU, where the loop thread
+# plans each miss (the mode the one-CPU golden replay above checks).
 SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DFTSIM_SANITIZE=ON \
       -DFTSIM_BUILD_BENCH=OFF -DFTSIM_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "$SAN_DIR" -j --target ftsim_tests
 "$SAN_DIR/ftsim_tests" \
     --gtest_filter='Protocol*:PlanService*:LruCache*:ServeE2E*:Histogram*:Net*:Router*:HashRing*:RegistrySnapshot*:Base64*:FaultProxy*:StatsRegistry*:StepPlanSweep*:Wire*:StrCat*:KeySpelling*'
-echo "ci.sh: ASan+UBSan serve/fuzz/net/fleet/stats suites green"
+taskset -c 0 "$SAN_DIR/ftsim_tests" --gtest_filter="$ONE_CPU_FILTER"
+echo "ci.sh: ASan+UBSan serve/fuzz/net/fleet/stats suites green (and on one CPU)"
 
 # Optional TSan job: the stats registry's whole point is lock-free
 # publishing on hot paths, so put the herd and histogram quantile

@@ -1,5 +1,7 @@
 #include "common/parallel.hpp"
 
+#include <sched.h>
+
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -20,6 +22,10 @@ thread_local bool in_parallel_region = false;
 unsigned
 hardwareThreads()
 {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof(mask), &mask) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&mask));
     const unsigned n = std::thread::hardware_concurrency();
     return n > 0 ? n : 1;
 }
@@ -83,9 +89,8 @@ parallelFor(std::size_t n, unsigned threads,
 
 WorkerPool::WorkerPool(unsigned threads)
 {
-    const unsigned n = threads > 0 ? threads : 1;
-    workers_.reserve(n);
-    for (unsigned t = 0; t < n; ++t)
+    workers_.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t)
         workers_.emplace_back([this] { workerLoop(); });
 }
 
@@ -103,6 +108,10 @@ WorkerPool::~WorkerPool()
 void
 WorkerPool::submit(std::function<void()> task)
 {
+    if (workers_.empty()) {
+        task();  // Caller-runs: no thread to hand it to.
+        return;
+    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_)

@@ -23,7 +23,12 @@
 
 namespace ftsim {
 
-/** Hardware concurrency with a sane floor of 1. */
+/**
+ * CPUs this thread may run on: the count of its `sched_getaffinity`
+ * mask, so a process under `taskset` or in a cpuset sees its share,
+ * not the machine. Falls back to `hardware_concurrency()` (floored at
+ * 1) only when the affinity call fails.
+ */
 unsigned hardwareThreads();
 
 /**
@@ -47,10 +52,15 @@ void parallelFor(std::size_t n, unsigned threads,
  * channel); an escaping exception terminates the process, as it would
  * from any detached thread. The destructor drains every queued task
  * before joining, so submitted work is never silently dropped.
+ *
+ * A pool of 0 threads is caller-runs: `submit()` runs the task on the
+ * calling thread and returns when it is done. On one usable CPU extra
+ * threads only take turns with the caller, so the hand-off to a worker
+ * costs a wake-up and buys nothing.
  */
 class WorkerPool {
   public:
-    /** Starts @p threads workers (floored at 1). */
+    /** Starts @p threads workers; 0 starts none (caller-runs). */
     explicit WorkerPool(unsigned threads);
 
     /** Finishes all queued tasks, then joins the workers. */
@@ -59,7 +69,8 @@ class WorkerPool {
     WorkerPool(const WorkerPool&) = delete;
     WorkerPool& operator=(const WorkerPool&) = delete;
 
-    /** Enqueues @p task; fatal if called during destruction. */
+    /** Enqueues @p task, or with no workers runs it before returning;
+     *  fatal if called during destruction. */
     void submit(std::function<void()> task);
 
     /** Number of worker threads. */

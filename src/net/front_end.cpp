@@ -244,6 +244,11 @@ ClientFrontEnd::readInput(Conn& conn, double now)
                 handleFrame(conn, frame);
             if (conn.framer.poisoned())
                 poison(conn, conn.framer.poisonReason());
+            // A short read drained the socket: polling is level-
+            // triggered, so late bytes (or EOF) raise the next round
+            // instead of costing an EAGAIN read now.
+            if (io.bytes < sizeof(buf))
+                break;
         } else if (io.status == IoStatus::WouldBlock) {
             break;
         } else if (io.status == IoStatus::Eof) {

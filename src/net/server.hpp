@@ -18,6 +18,9 @@
  * completion callback that wakes the loop. Answers compute out of
  * order across the worker pool; each connection's answer queue
  * re-sequences them, exactly like `ftsim_serve` re-sequences a file.
+ * On one usable CPU the service has no pool: the loop thread plans
+ * the miss inside submit(), the future is ready on return, and the
+ * front end writes it in the same round, exactly as for a cache hit.
  *
  * Error containment mirrors the in-process service:
  *  - a frame that fails to parse/decode answers a typed protocol
@@ -39,11 +42,14 @@
  * never loses an in-flight answer.
  *
  * Concurrency model: one loop thread does all socket IO and all
- * framing/parsing; the PlanService worker pool does all planning. The
- * loop never blocks on a computation (futures are polled only when
- * ready, the wake pipe signals readiness), and workers never touch a
- * socket. `run()` drives the loop on the caller's thread (the daemon);
- * `start()` spawns it on a background thread (tests, the bench).
+ * framing/parsing. With more than one usable CPU the PlanService
+ * worker pool does all planning: the loop never blocks on a
+ * computation (futures are polled only when ready, the wake pipe
+ * signals readiness), and workers never touch a socket. On one usable
+ * CPU the loop thread plans, since a worker could only take turns
+ * with it on that core (see ServiceConfig::workers). `run()` drives
+ * the loop on the caller's thread (the daemon); `start()` spawns it on
+ * a background thread (tests, the bench).
  */
 
 #include <atomic>

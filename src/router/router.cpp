@@ -820,6 +820,8 @@ struct RouterServer::Impl {
                                        ')'));
                     return;
                 }
+                if (io.bytes < sizeof(buf))
+                    return;  // Drained; see ClientFrontEnd::readInput.
             } else if (io.status == IoStatus::WouldBlock) {
                 return;
             } else {

@@ -24,6 +24,17 @@ constexpr double kLatencyMaxMs = 10000.0;
  */
 constexpr std::size_t kMaxSources = 4096;
 
+/** ServiceConfig::workers resolved against the CPUs this process may
+ *  use: none on one CPU (the submitter runs each miss). */
+unsigned
+poolThreads(unsigned configured)
+{
+    const unsigned cpus = hardwareThreads();
+    if (cpus == 1)
+        return 0;
+    return configured > 0 ? configured : cpus;
+}
+
 double
 nowMs()
 {
@@ -57,8 +68,9 @@ PlanService::PlanService(ServiceConfig config)
       planner_misses_(stats_->counter("planner.step_cache_misses")),
       latency_(stats_->histogram("serve.latency_ms", 0.0, kLatencyMaxMs,
                                  4096)),
-      pool_(config_.workers > 0 ? config_.workers : hardwareThreads())
+      pool_(poolThreads(config_.workers))
 {
+    stats_->gauge("serve.workers").set(pool_.threadCount());
     stats_provider_ = stats_->addProvider(
         [this](StatsRegistry::Sink& sink) { publishDynamicStats(sink); });
 }
@@ -342,7 +354,9 @@ PlanService::submit(const PlanRequest& request,
             entry->future = promise->get_future().share();
             if (governed)
                 entry->waitingTenants.push_back(request.tenant);
-            if (options.notify)
+            // Without workers this thread runs the task below, so the
+            // future is ready on return and owes no notify.
+            if (options.notify && pool_.threadCount() > 0)
                 entry->notifies.push_back(options.notify);
             future = entry->future;
             inflight_.emplace(key, std::move(entry));

@@ -6,8 +6,11 @@
  * The multi-tenant, in-process plan-serving service.
  *
  * `PlanService` brokers concurrent `PlanRequest`s across a fleet of
- * `Planner`s behind an admission queue and worker pool. Three layers of
- * deduplication make a duplicate-heavy multi-tenant load cheap:
+ * `Planner`s behind an admission queue and worker pool. When the
+ * process may run on only one CPU there is no pool: the submitting
+ * thread runs each miss before submit() returns, since a worker could
+ * only take turns with it (see ServiceConfig::workers). Three layers
+ * of deduplication make a duplicate-heavy multi-tenant load cheap:
  *
  *  1. **Request coalescing.** Identical requests (same canonicalKey —
  *     everything but the client id and tenant) share one execution with
@@ -81,7 +84,15 @@ namespace ftsim {
 
 /** Construction knobs for a PlanService. */
 struct ServiceConfig {
-    /** Worker threads draining the admission queue; 0 = hardware. */
+    /**
+     * Worker threads draining the admission queue; 0 = one per CPU
+     * the process may use (hardwareThreads()). When that is one CPU
+     * the service starts no worker whatever this says: the thread
+     * that calls submit() runs the miss (on a daemon, the loop thread
+     * plans), because a hand-off to a thread sharing the same core
+     * costs wake-ups and buys no parallelism. Published as the
+     * `serve.workers` gauge.
+     */
     unsigned workers = 0;
     /** Base price list; request `rates` extend a copy per planner. */
     CloudCatalog catalog = CloudCatalog::cudoCompute();
@@ -150,8 +161,11 @@ struct SubmitOptions {
      * the response is observable through it — but only if it was not
      * ready when submit() returned. Answers ready at submit time
      * (answer-cache hits, live kinds, quota rejections) never notify:
-     * the caller checks the future it was handed. Otherwise the
-     * callback runs on the worker that resolved the execution (shared
+     * the caller checks the future it was handed. A service without
+     * workers answers a miss on the submitting thread, so its future
+     * is ready on return too; only a submission that coalesces onto an
+     * execution another thread is running is notified. Otherwise the
+     * callback runs on the thread that resolved the execution (shared
      * by every coalesced submission, each of which registered its own
      * callback). Must be cheap and must not call back into the service
      * (it runs under no lock, but on the worker's critical path). The
@@ -176,7 +190,7 @@ class PlanService {
   public:
     explicit PlanService(ServiceConfig config = {});
 
-    /** Drains the admission queue, then joins the workers. */
+    /** Drains the admission queue, then joins the workers (if any). */
     ~PlanService();
 
     PlanService(const PlanService&) = delete;
@@ -222,7 +236,8 @@ class PlanService {
     /** The base catalog (request rates extend copies, not this). */
     const CloudCatalog& catalog() const { return config_.catalog; }
 
-    /** Worker threads serving the admission queue. */
+    /** Worker threads serving the admission queue; 0 when misses run
+     *  on the submitting thread (one usable CPU). */
     unsigned workers() const { return pool_.threadCount(); }
 
   private:

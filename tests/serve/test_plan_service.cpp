@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/planner.hpp"
+#include "one_cpu.hpp"
 #include "serve/plan_service.hpp"
 #include "stats_rows.hpp"
 
@@ -38,44 +39,94 @@ throughputRequest(const std::string& gpu,
 }
 
 /**
- * A ServiceConfig::clock that parks the service's workers until
- * open(). A worker reads the clock after answering and before it
- * releases the execution's tenant slots, so until open() every
- * admitted request holds its slot however fast it computes — the
- * inflight tests do not race the worker. Threads other than the one
- * that built the gate (the test's submitting thread) never wait.
- * Open it before the service is destroyed: the pool joins its workers.
+ * Holds one execution open until release(), on a thread other than
+ * the test's, so the test can submit while that request's tenant slot
+ * is held however fast it computes.
+ *
+ * hold() submits the request from a helper thread. The service reads
+ * its clock after answering and before it releases the execution's
+ * tenant slots; the gate's clock parks every read made by a thread
+ * other than the test's while an execution is in flight
+ * (`serve.answers.inflight` > 0). The parked thread is a worker, or,
+ * in a service with no workers (one usable CPU), the helper itself,
+ * running the miss inside submit(). Either way hold() returns once the
+ * execution is parked, its slot held and its key in flight, so the
+ * tests assert the same thing on any CPU count. The test's own thread
+ * never waits. Release before the service is destroyed: the pool
+ * joins its workers.
  */
-class WorkerGate {
+class ExecutionGate {
   public:
-    std::function<double()> clock()
+    ~ExecutionGate()
     {
-        return [this] {
-            if (std::this_thread::get_id() != owner_) {
-                std::unique_lock<std::mutex> lock(mutex_);
-                opened_.wait(lock, [this] { return open_; });
-            }
+        release();
+        if (helper_.joinable())
+            helper_.join();
+    }
+
+    /** Points @p config's clock and stats registry at the gate. */
+    void install(ServiceConfig& config)
+    {
+        config.statsRegistry = stats_;
+        config.clock = [this] {
+            park();
             return 0.0;
         };
     }
 
-    void open()
+    /** Submits @p request from the helper thread and returns once its
+     *  execution is parked. */
+    void hold(PlanService& service, const PlanRequest& request)
+    {
+        helper_ = std::thread(
+            [this, &service, request] { held_ = service.submit(request); });
+        std::unique_lock<std::mutex> lock(mutex_);
+        changed_.wait(lock, [this] { return parked_; });
+    }
+
+    void release()
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             open_ = true;
         }
-        opened_.notify_all();
+        changed_.notify_all();
+    }
+
+    /** The held request's answer; call after release(). */
+    PlanResponse heldAnswer()
+    {
+        helper_.join();
+        return held_.get();
     }
 
   private:
+    void park()
+    {
+        if (std::this_thread::get_id() == owner_ ||
+            stats_->snapshot().counter("serve.answers.inflight") == 0)
+            return;
+        std::unique_lock<std::mutex> lock(mutex_);
+        parked_ = true;
+        changed_.notify_all();
+        changed_.wait(lock, [this] { return open_; });
+    }
+
     const std::thread::id owner_ = std::this_thread::get_id();
+    const std::shared_ptr<StatsRegistry> stats_ =
+        std::make_shared<StatsRegistry>();
     std::mutex mutex_;
-    std::condition_variable opened_;
+    std::condition_variable changed_;
+    bool parked_ = false;
     bool open_ = false;
+    std::thread helper_;
+    std::shared_future<PlanResponse> held_;
 };
 
-TEST(PlanService, ThunderingHerdSimulatesEachDistinctConfigOnce)
+/** The thundering-herd acceptance check, run by the test below on any
+ *  CPU count and again on one CPU (where submitters run the misses). */
+void
+expectHerdSimulatesEachDistinctConfigOnce()
 {
     // 32 tenants each submit the same 4 questions: three throughput
     // probes (one step simulation each — the profile at max batch)
@@ -166,6 +217,11 @@ TEST(PlanService, ThunderingHerdSimulatesEachDistinctConfigOnce)
               kGreedySubmits - 2);
     EXPECT_EQ(stats.counter("serve.tenant.greedy.rejected_inflight"), 0u);
     EXPECT_EQ(stats.counter("serve.tenant.greedy.inflight"), 0u);
+}
+
+TEST(PlanService, ThunderingHerdSimulatesEachDistinctConfigOnce)
+{
+    expectHerdSimulatesEachDistinctConfigOnce();
 }
 
 TEST(PlanService, AnswersMatchADirectPlanner)
@@ -494,11 +550,11 @@ TEST(PlanService, InflightGateCapsConcurrentRequestsPerTenant)
     // tenant's only slot (the gate holds its execution open); requests
     // submitted meanwhile are rejected, and the slot frees once it
     // answers.
-    WorkerGate gate;
+    ExecutionGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantMaxInflight = 1;
-    config.clock = gate.clock();
+    gate.install(config);
     PlanService service(config);
 
     PlanRequest heavy;
@@ -506,17 +562,17 @@ TEST(PlanService, InflightGateCapsConcurrentRequestsPerTenant)
     heavy.gpu = "A40";
     heavy.tenant = "carol";
 
-    std::shared_future<PlanResponse> slow = service.submit(heavy);
+    gate.hold(service, heavy);
 
     // The slot is still held, so a second (distinct) request bounces.
     PlanRequest second = throughputRequest("A40");
     second.tenant = "carol";
     const PlanResponse bounced = service.submit(second).get();
-    gate.open();
+    gate.release();
     EXPECT_FALSE(bounced.ok);
     EXPECT_EQ(bounced.errorCode, "RateLimited");
 
-    EXPECT_TRUE(slow.get().ok);
+    EXPECT_TRUE(gate.heldAnswer().ok);
     // The answer resolved, so the slot is free again — and the retry
     // coalesces onto the cached report without consuming new work.
     PlanRequest retry = heavy;
@@ -534,11 +590,11 @@ TEST(PlanService, CoalescedDuplicatesHoldInflightSlotsUntilAnswered)
     // Duplicates coalesce onto one execution but each admitted copy
     // holds its own tenant slot until the shared answer resolves —
     // otherwise a tenant could multiply pressure through duplicates.
-    WorkerGate gate;
+    ExecutionGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantMaxInflight = 2;
-    config.clock = gate.clock();
+    gate.install(config);
     PlanService service(config);
 
     PlanRequest heavy;
@@ -546,14 +602,14 @@ TEST(PlanService, CoalescedDuplicatesHoldInflightSlotsUntilAnswered)
     heavy.gpu = "A40";
     heavy.tenant = "dave";
 
-    std::shared_future<PlanResponse> first = service.submit(heavy);
+    gate.hold(service, heavy);
     std::shared_future<PlanResponse> duplicate = service.submit(heavy);
     const PlanResponse third = service.submit(heavy).get();
-    gate.open();
+    gate.release();
     EXPECT_FALSE(third.ok);  // Two slots held by the shared execution.
     EXPECT_EQ(third.errorCode, "RateLimited");
 
-    EXPECT_TRUE(first.get().ok);
+    EXPECT_TRUE(gate.heldAnswer().ok);
     EXPECT_TRUE(duplicate.get().ok);
     const StatsSnapshot stats = service.statsRegistry()->snapshot();
     ASSERT_NE(stats.find("serve.tenant.dave.inflight"), nullptr);
@@ -587,28 +643,28 @@ TEST(PlanService, FullTenantTableOfBusyTenantsRejectsNewNames)
 {
     // When every tracked tenant has work in flight, there is nothing
     // safe to evict: a fresh name is rejected instead of tracked.
-    WorkerGate gate;
+    ExecutionGate gate;
     ServiceConfig config;
     config.workers = 1;
     config.tenantRps = 1e9;
     config.maxTenants = 1;
-    config.clock = gate.clock();
+    gate.install(config);
     PlanService service(config);
 
     PlanRequest heavy;
     heavy.query = QueryKind::Report;  // Holds its slot until the gate.
     heavy.gpu = "A40";
     heavy.tenant = "resident";
-    std::shared_future<PlanResponse> slow = service.submit(heavy);
+    gate.hold(service, heavy);
 
     PlanRequest newcomer = throughputRequest("A40");
     newcomer.tenant = "newcomer";
     const PlanResponse bounced = service.submit(newcomer).get();
-    gate.open();
+    gate.release();
     EXPECT_FALSE(bounced.ok);
     EXPECT_EQ(bounced.errorCode, "RateLimited");
 
-    EXPECT_TRUE(slow.get().ok);
+    EXPECT_TRUE(gate.heldAnswer().ok);
     // Resident is idle now: the newcomer takes its slot.
     EXPECT_TRUE(service.ask(newcomer).ok);
     const StatsSnapshot stats = service.statsRegistry()->snapshot();
@@ -617,7 +673,10 @@ TEST(PlanService, FullTenantTableOfBusyTenantsRejectsNewNames)
     EXPECT_EQ(tenants.count("newcomer"), 1u);
 }
 
-TEST(PlanService, ExecutionThrowBecomesAnErrorResponseNotAPoisonedKey)
+/** The exception-guard check, run by the test below on any CPU count
+ *  and again on one CPU (where the submitter runs the execution). */
+void
+expectExecutionThrowIsContained()
 {
     // A crafted programmatic scenario (incomplete model spec) makes
     // the simulator fatal() mid-execution. The future must resolve
@@ -655,6 +714,11 @@ TEST(PlanService, ExecutionThrowBecomesAnErrorResponseNotAPoisonedKey)
 
     // And the service keeps serving healthy requests afterwards.
     EXPECT_TRUE(service.ask(throughputRequest("A40")).ok);
+}
+
+TEST(PlanService, ExecutionThrowBecomesAnErrorResponseNotAPoisonedKey)
+{
+    expectExecutionThrowIsContained();
 }
 
 TEST(PlanService, TokenBucketRefillsOnTheInjectedClock)
@@ -717,15 +781,18 @@ TEST(PlanService, SourcesBucketSubmissionsPerConnectionLabel)
     options.source = "127.0.0.1:9999#1";
     options.notify = [&notified] { notified.fetch_add(1); };
 
+    // A service with workers hands the miss to one and notifies from
+    // it; one without (one usable CPU) answers it inside submit().
+    const int miss_notifies = service.workers() > 0 ? 1 : 0;
     PlanRequest probe = throughputRequest("A40");
     PlanResponse first = service.submit(probe, options).get();
     EXPECT_TRUE(first.ok);
     // The executed path notifies from the worker *after* resolving the
     // future, so get() returning does not yet imply the callback ran —
     // wait for it (bounded by the worker finishing its epilogue).
-    while (notified.load() == 0)
+    while (notified.load() < miss_notifies)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_EQ(notified.load(), 1);
+    EXPECT_EQ(notified.load(), miss_notifies);
 
     // Duplicate: served from the answer cache (the spin above
     // guaranteed finishExecution promoted the answer), so the future
@@ -736,7 +803,7 @@ TEST(PlanService, SourcesBucketSubmissionsPerConnectionLabel)
     EXPECT_EQ(cached.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     EXPECT_TRUE(cached.get().ok);
-    EXPECT_EQ(notified.load(), 1);
+    EXPECT_EQ(notified.load(), miss_notifies);
 
     const StatsSnapshot stats = service.statsRegistry()->snapshot();
     ASSERT_EQ(statRows(stats, "serve.source.", "requests").size(), 1u);
@@ -881,6 +948,74 @@ TEST(PlanService, LoadSnapshotRejectsHostileBytesTyped)
     EXPECT_FALSE(response.errorMessage.empty());
     // And the service is unharmed: it still answers.
     EXPECT_TRUE(service.ask(throughputRequest("A40")).ok);
+}
+
+// ----- One usable CPU: no workers, the submitter runs each miss -----
+
+TEST(PlanService, PublishesItsWorkerCountAsAGauge)
+{
+    PlanService service;
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    const StatEntry* workers = stats.find("serve.workers");
+    ASSERT_NE(workers, nullptr);
+    EXPECT_EQ(workers->num(), static_cast<double>(service.workers()));
+    EXPECT_EQ(service.workers() == 0, hardwareThreads() == 1);
+}
+
+TEST(PlanService, OneCpuAnswersAMissBeforeSubmitReturnsWithoutNotify)
+{
+    OneCpuScope one_cpu;
+    ASSERT_TRUE(one_cpu.pinned());
+    // The service reads its clock after answering, on the thread that
+    // ran the execution: every read must come from this one.
+    std::atomic<int> foreign_reads{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    ServiceConfig config;
+    config.workers = 4;  // An explicit count changes nothing on one CPU.
+    config.clock = [&foreign_reads, caller] {
+        if (std::this_thread::get_id() != caller)
+            foreign_reads.fetch_add(1);
+        return 0.0;
+    };
+    PlanService service(config);
+    EXPECT_EQ(service.workers(), 0u);
+
+    std::atomic<int> notified{0};
+    SubmitOptions options;
+    options.source = "127.0.0.1:9999#1";
+    options.notify = [&notified] { notified.fetch_add(1); };
+    for (const PlanRequest& miss :
+         {throughputRequest("A40"), throughputRequest("H100")}) {
+        std::shared_future<PlanResponse> answer =
+            service.submit(miss, options);
+        ASSERT_EQ(answer.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        EXPECT_TRUE(answer.get().ok);
+    }
+    EXPECT_EQ(notified.load(), 0);
+    EXPECT_EQ(foreign_reads.load(), 0);
+    const StatsSnapshot stats = service.statsRegistry()->snapshot();
+    ASSERT_NE(stats.find("serve.workers"), nullptr);
+    EXPECT_EQ(stats.find("serve.workers")->num(), 0.0);
+    EXPECT_EQ(stats.counter("serve.executed"), 2u);
+    EXPECT_EQ(stats.counter("serve.queue_depth"), 0u);
+    EXPECT_EQ(stats.counter("serve.answers.inflight"), 0u);
+}
+
+TEST(PlanService, OneCpuThunderingHerdSimulatesEachDistinctConfigOnce)
+{
+    // The herd's 33 threads start under the one-CPU mask, and each
+    // plans its own misses; coalescing still runs each config once.
+    OneCpuScope one_cpu;
+    ASSERT_TRUE(one_cpu.pinned());
+    expectHerdSimulatesEachDistinctConfigOnce();
+}
+
+TEST(PlanService, OneCpuExecutionThrowBecomesAnErrorResponseNotAPoisonedKey)
+{
+    OneCpuScope one_cpu;
+    ASSERT_TRUE(one_cpu.pinned());
+    expectExecutionThrowIsContained();
 }
 
 }  // namespace
