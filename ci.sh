@@ -8,6 +8,32 @@ BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S .   # Default build type is Release (CMakeLists).
 cmake --build "$BUILD_DIR" -j
+
+# Layering gate, sources: the product library (ftsim) holds common,
+# core, gpusim, serve, net, router and the full-size model specs. None
+# of them may include the training stack, the reference oracle, or a
+# models/ header other than spec.hpp and kinds.hpp.
+LAYER_VIOLATIONS=$(grep -nE '#include "(tensor|nn|train|data|oracle|models)/' \
+    -r src/common src/core src/gpusim src/serve src/net src/router \
+    src/models/spec.* src/models/kinds.hpp \
+  | grep -vE '#include "models/(spec|kinds)\.hpp"' || true)
+if [ -n "$LAYER_VIOLATIONS" ]; then
+  echo "ci.sh: product sources reach past libftsim:"
+  echo "$LAYER_VIOLATIONS"
+  exit 1
+fi
+# Layering gate, binaries: the four tools link only ftsim, so no
+# reference-oracle or tensor symbol may reach them.
+for tool in ftsim_served ftsim_serve ftsim_router ftsim_client; do
+  nm -C "$BUILD_DIR/$tool" > "$BUILD_DIR/$tool.nm"
+  if grep -E 'Reference\(|WorkloadBuilder::buildStep|WorkloadBuilder::addLayer|ftsim::Tensor|ftsim::oracle::' \
+      "$BUILD_DIR/$tool.nm"; then
+    echo "ci.sh: $tool links oracle or training-stack symbols"
+    exit 1
+  fi
+done
+echo "ci.sh: layering gates green (product sources and the four tools)"
+
 (cd "$BUILD_DIR" && ctest --output-on-failure -j)
 
 # One usable CPU: PlanService starts no worker and the submitting

@@ -14,7 +14,7 @@
  *
  * Lives in common/ (not core/) because it is a vocabulary type: the
  * simulator layer (gpusim) reports domain failures the same way the
- * planner does. `core/result.hpp` remains as a forwarding header.
+ * planner does.
  */
 
 #include <string>

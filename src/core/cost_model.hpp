@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/result.hpp"
+#include "common/result.hpp"
 
 namespace ftsim {
 

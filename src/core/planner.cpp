@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 
 #include "common/logging.hpp"
-#include "common/lru_cache.hpp"
 #include "common/parallel.hpp"
 
 namespace ftsim {
@@ -33,21 +33,18 @@ struct Planner::GpuState {
      *  the simulations themselves: step entries are shared futures and
      *  the owning thread fulfills them outside the lock. */
     std::mutex mutex;
-    /** Memoized step profiles, LRU-bounded when the planner's
-     *  step-cache capacity is set (0 = unbounded). Values are shared
-     *  futures, so evicting an entry mid-simulation never orphans a
-     *  waiter — every waiter holds its own copy of the shared state. */
-    LruCache<std::string, std::shared_future<StepProfile>> steps;
+    /** Memoized step profiles. Values are shared futures: an entry
+     *  is inserted before its simulation runs, and concurrent
+     *  requesters wait on it. */
+    std::unordered_map<std::string, std::shared_future<StepProfile>> steps;
     std::optional<MemoryBreakdown> mem;
     std::optional<std::vector<ThroughputObservation>> observations;
     std::optional<ThroughputFit> fit;
 
     GpuState(const ModelSpec& model, const GpuSpec& g,
              const SimCalibration& calib,
-             std::shared_ptr<PlanRegistry> registry,
-             std::size_t step_capacity)
-        : gpu(g), sim(model, g, calib, std::move(registry)),
-          steps(step_capacity)
+             std::shared_ptr<PlanRegistry> registry)
+        : gpu(g), sim(model, g, calib, std::move(registry))
     {
     }
 
@@ -76,24 +73,6 @@ Planner::setParallelism(unsigned threads)
 }
 
 Planner&
-Planner::setStepCacheCapacity(std::size_t entries)
-{
-    step_cache_capacity_ = entries;
-    return *this;
-}
-
-Planner&
-Planner::bindStats(std::shared_ptr<StatsRegistry> registry,
-                   const std::string& prefix)
-{
-    StatsCounter& hits =
-        registry->counter(strCat(prefix, ".step_cache_hits"));
-    StatsCounter& misses =
-        registry->counter(strCat(prefix, ".step_cache_misses"));
-    return bindStats(std::move(registry), hits, misses);
-}
-
-Planner&
 Planner::bindStats(std::shared_ptr<StatsRegistry> registry,
                    StatsCounter& hits, StatsCounter& misses)
 {
@@ -113,8 +92,7 @@ Planner::stateFor(const GpuSpec& gpu) const
         it = states_
                  .emplace(key, std::make_unique<GpuState>(
                                    scenario_.model, gpu,
-                                   scenario_.calibration, registry_,
-                                   step_cache_capacity_))
+                                   scenario_.calibration, registry_))
                  .first;
     return *it->second;
 }
@@ -127,12 +105,12 @@ Planner::profiledStep(GpuState& state, const RunConfig& config) const
     std::shared_future<StepProfile> future;
     {
         std::lock_guard<std::mutex> lock(state.mutex);
-        if (std::shared_future<StepProfile>* cached =
-                state.steps.get(key)) {
+        auto cached = state.steps.find(key);
+        if (cached != state.steps.end()) {
             ++step_hits_;
             if (shared_hits_)
                 shared_hits_->inc();
-            future = *cached;
+            future = cached->second;
         } else {
             ++step_misses_;
             if (shared_misses_)
@@ -141,12 +119,7 @@ Planner::profiledStep(GpuState& state, const RunConfig& config) const
                 return state.sim.profileStep(config);
             });
             future = task.get_future().share();
-            // A bounded shard may evict here; displaced futures are
-            // simply dropped — any thread still waiting on one holds
-            // its own shared_future copy, and a later query for the
-            // evicted key re-simulates (a fresh miss, identical
-            // profile).
-            state.steps.put(key, future);
+            state.steps.emplace(key, future);
         }
     }
     // Simulate *outside* the shard lock: concurrent queries for the
@@ -276,19 +249,19 @@ Planner::throughputObservations(const GpuSpec& gpu) const
         std::lock_guard<std::mutex> lock(state.mutex);
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             const std::string key = GpuState::stepKey(jobs[i]);
-            if (std::shared_future<StepProfile>* cached =
-                    state.steps.get(key)) {
+            auto cached = state.steps.find(key);
+            if (cached != state.steps.end()) {
                 ++step_hits_;
                 if (shared_hits_)
                     shared_hits_->inc();
-                futures[i] = *cached;
+                futures[i] = cached->second;
             } else {
                 ++step_misses_;
                 if (shared_misses_)
                     shared_misses_->inc();
                 promises.emplace_back();
                 futures[i] = promises.back().get_future().share();
-                state.steps.put(key, futures[i]);
+                state.steps.emplace(key, futures[i]);
                 missing.push_back(i);
             }
         }
@@ -472,49 +445,13 @@ Planner::fitBatchSize(const std::vector<GpuSpec>& gpus,
 PlannerStats
 Planner::stats() const
 {
-    // Counters are monotonic; clamped subtraction keeps a snapshot
-    // that raced a concurrent resetStats() at zero instead of wrapping.
-    const auto since = [](std::uint64_t now, std::uint64_t base) {
-        return now > base ? now - base : 0;
-    };
     PlannerStats out;
-    out.stepCacheHits = since(step_hits_.load(), hits_base_.load());
-    out.stepCacheMisses =
-        since(step_misses_.load(), misses_base_.load());
-    std::uint64_t simulated = 0;
-    std::uint64_t evicted = 0;
-    {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        for (const auto& [key, state] : states_) {
-            simulated += state->sim.stepsSimulated();
-            // The shard lock, not registry_mutex_, guards the step
-            // cache — take it briefly for a coherent eviction count.
-            std::lock_guard<std::mutex> shard(state->mutex);
-            evicted += state->steps.evictions();
-        }
-    }
-    out.stepsSimulated = since(simulated, steps_base_.load());
-    out.stepCacheEvictions = since(evicted, evictions_base_.load());
+    out.stepCacheHits = step_hits_.load();
+    out.stepCacheMisses = step_misses_.load();
+    std::lock_guard<std::mutex> lock(registry_mutex_);
+    for (const auto& [key, state] : states_)
+        out.stepsSimulated += state->sim.stepsSimulated();
     return out;
-}
-
-void
-Planner::resetStats()
-{
-    hits_base_.store(step_hits_.load());
-    misses_base_.store(step_misses_.load());
-    std::uint64_t simulated = 0;
-    std::uint64_t evicted = 0;
-    {
-        std::lock_guard<std::mutex> lock(registry_mutex_);
-        for (const auto& [key, state] : states_) {
-            simulated += state->sim.stepsSimulated();
-            std::lock_guard<std::mutex> shard(state->mutex);
-            evicted += state->steps.evictions();
-        }
-    }
-    steps_base_.store(simulated);
-    evictions_base_.store(evicted);
 }
 
 }  // namespace ftsim

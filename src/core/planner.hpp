@@ -49,10 +49,10 @@
 #include <string>
 #include <vector>
 
+#include "common/result.hpp"
 #include "common/stats_registry.hpp"
 #include "core/cost_model.hpp"
 #include "core/pipeline_types.hpp"
-#include "core/result.hpp"
 #include "core/scenario.hpp"
 #include "gpusim/finetune_sim.hpp"
 #include "gpusim/memory_model.hpp"
@@ -69,9 +69,6 @@ struct PlannerStats {
     /** Steps actually simulated, summed over the per-GPU simulators.
      *  Equals stepCacheMisses when no query bypassed the cache. */
     std::uint64_t stepsSimulated = 0;
-    /** Step-cache entries LRU-evicted, summed over the per-GPU shards
-     *  (0 unless setStepCacheCapacity bounded them). */
-    std::uint64_t stepCacheEvictions = 0;
 };
 
 /** Scenario-driven planning facade (see file comment). */
@@ -106,35 +103,16 @@ class Planner {
     Planner& setParallelism(unsigned threads);
 
     /**
-     * Bounds each per-GPU step-cache shard to @p entries memoized
-     * profiles (LRU-evicted past that; `common/lru_cache.hpp`).
-     * 0 = unbounded, the default and the pre-bound behavior. An
-     * evicted configuration re-simulates on its next query —
-     * deterministically identical, just recounted as a miss — so the
-     * bound trades recomputation for memory, never correctness.
-     * Applies to shards created after the call: set it before the
-     * first query (shards materialize lazily per GPU). Returns *this.
-     */
-    Planner& setStepCacheCapacity(std::size_t entries);
-
-    /**
-     * Additionally publishes step-cache traffic into @p registry
-     * (`<prefix>.step_cache_hits` / `<prefix>.step_cache_misses`) at
-     * the exact increment sites stats() counts — the fleet-wide cells
-     * the live `stats` scrape reads. The planner keeps @p registry
-     * alive. Setup-time only: bind before the first query (the serving
-     * layer binds at planner construction); not bound = zero overhead,
-     * which is how the perf benches construct planners. Returns *this.
-     */
-    Planner& bindStats(std::shared_ptr<StatsRegistry> registry,
-                       const std::string& prefix = "planner");
-
-    /**
-     * Cell-level bindStats: the caller already registered @p hits and
-     * @p misses in @p registry. Takes no registry lock, so it is safe
-     * under component locks (PlanService binds planners it constructs
-     * inside its planner-pool mutex through this overload; the
-     * registry mutex must never nest inside a component mutex).
+     * Additionally publishes step-cache traffic into @p hits and
+     * @p misses, cells the caller already registered in @p registry,
+     * at the exact increment sites stats() counts — the fleet-wide
+     * cells the live `stats` scrape reads. The planner keeps
+     * @p registry alive. Takes no registry lock, so it is safe under
+     * component locks (PlanService binds planners it constructs inside
+     * its planner-pool mutex; the registry mutex must never nest
+     * inside a component mutex). Setup-time only: bind before the
+     * first query; not bound = zero overhead, which is how the perf
+     * benches construct planners. Returns *this.
      */
     Planner& bindStats(std::shared_ptr<StatsRegistry> registry,
                        StatsCounter& hits, StatsCounter& misses);
@@ -211,8 +189,7 @@ class Planner {
     // ----- Introspection -----
 
     /**
-     * Snapshot of the cache counters since construction (or the last
-     * resetStats()).
+     * Snapshot of the cache counters since construction.
      *
      * Memory-order contract: each counter is a monotonic atomic, so a
      * snapshot taken *while queries are in flight* reads each counter
@@ -227,16 +204,6 @@ class Planner {
      * cache).
      */
     PlannerStats stats() const;
-
-    /**
-     * Re-zeroes the stats() window: subsequent snapshots count from
-     * here, so per-window deltas (a serving stats endpoint, a bench
-     * phase) are meaningful without tracking baselines externally.
-     * Call at a quiescent point (no queries in flight) for an exact
-     * zero; a concurrent reset is safe but may leave a few in-flight
-     * increments in the new window.
-     */
-    void resetStats();
 
     /** The fleet-wide plan registry this planner was built with (may
      *  be null). */
@@ -256,9 +223,7 @@ class Planner {
      * outside the shard lock with per-entry once-semantics: exactly one
      * thread simulates a given configuration, concurrent requesters for
      * the same key block on its shared future, and requesters for
-     * *different* keys on the same GPU proceed in parallel. Returns by
-     * value: with a bounded shard a reference into the cache could be
-     * evicted (and its shared state dropped) while the caller reads it.
+     * *different* keys on the same GPU proceed in parallel.
      */
     StepProfile profiledStep(GpuState& state,
                              const RunConfig& config) const;
@@ -273,9 +238,6 @@ class Planner {
     CostEstimator estimator_;
     std::shared_ptr<PlanRegistry> registry_;
     unsigned parallelism_ = 1;
-    /** Per-shard step-cache bound (0 = unbounded); see
-     *  setStepCacheCapacity. */
-    std::size_t step_cache_capacity_ = 0;
 
     mutable std::mutex registry_mutex_;
     mutable std::map<std::string, std::unique_ptr<GpuState>> states_;
@@ -286,11 +248,6 @@ class Planner {
     std::shared_ptr<StatsRegistry> stats_registry_;
     StatsCounter* shared_hits_ = nullptr;
     StatsCounter* shared_misses_ = nullptr;
-    // resetStats() baselines: stats() reports counters minus these.
-    mutable std::atomic<std::uint64_t> hits_base_{0};
-    mutable std::atomic<std::uint64_t> misses_base_{0};
-    mutable std::atomic<std::uint64_t> steps_base_{0};
-    mutable std::atomic<std::uint64_t> evictions_base_{0};
 };
 
 }  // namespace ftsim

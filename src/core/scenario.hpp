@@ -21,7 +21,7 @@
 #include <string>
 #include <utility>
 
-#include "core/result.hpp"
+#include "common/result.hpp"
 #include "gpusim/exec_model.hpp"
 #include "models/spec.hpp"
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/logging.hpp"
 #include "common/math_util.hpp"
@@ -12,7 +11,7 @@ namespace ftsim {
 
 namespace {
 
-/** Per-aggregate accumulator shared by both profile paths. */
+/** Per-kernel-name accumulator of the MoE aggregation. */
 struct NamedAgg {
     double seconds = 0.0;
     double launches = 0.0;
@@ -109,7 +108,8 @@ FineTuneSim::profileFromEval(const StepPlan& plan, const RunConfig& config,
 
     // Emission order below (layersPresent ascending, MoE slots in
     // lexicographic name order) replicates the reference path's
-    // std::map iteration, so the sorted outputs match bit-for-bit.
+    // std::map iteration (src/oracle/), so the sorted outputs match
+    // bit-for-bit.
     for (LayerClass layer : plan.layersPresent)
         profile.byLayer.push_back(
             {layer, layer_seconds[static_cast<std::size_t>(layer)]});
@@ -125,93 +125,6 @@ FineTuneSim::profileFromEval(const StepPlan& plan, const RunConfig& config,
         const NamedAgg& agg = moe_aggs[slot];
         KernelAggregate ka;
         ka.name = plan.moeAggNames[slot];
-        ka.seconds = agg.seconds;
-        ka.launches = agg.launches;
-        ka.flops = agg.flops;
-        ka.bytes = agg.bytes;
-        // Clamp: the time-weighted mean of values <= 100 can exceed 100
-        // by floating-point round-off.
-        ka.smUtilPct = agg.seconds > 0.0
-                           ? std::min(agg.sm_weighted / agg.seconds, 100.0)
-                           : 0.0;
-        ka.dramUtilPct =
-            agg.seconds > 0.0
-                ? std::min(agg.dram_weighted / agg.seconds, 100.0)
-                : 0.0;
-        profile.moeKernels.push_back(std::move(ka));
-        moe_total += agg.seconds;
-        moe_sm += agg.sm_weighted;
-        moe_dram += agg.dram_weighted;
-    }
-    std::sort(profile.moeKernels.begin(), profile.moeKernels.end(),
-              [](const KernelAggregate& a, const KernelAggregate& b) {
-                  return a.seconds > b.seconds;
-              });
-    if (moe_total > 0.0) {
-        profile.moeTimeWeightedSmPct = moe_sm / moe_total;
-        profile.moeTimeWeightedDramPct = moe_dram / moe_total;
-    }
-
-    profile.overheadSeconds = exec_.calibration().stepOverheadMs * 1e-3;
-    profile.stepSeconds = profile.forwardSeconds +
-                          profile.backwardSeconds +
-                          profile.optimizerSeconds +
-                          profile.overheadSeconds;
-    profile.throughputQps =
-        static_cast<double>(config.batchSize) / profile.stepSeconds;
-    return profile;
-}
-
-StepProfile
-FineTuneSim::profileStepReference(const RunConfig& config) const
-{
-    ++steps_simulated_;
-    StepProfile profile;
-    profile.config = config;
-
-    std::map<LayerClass, double> layer_seconds;
-    std::map<std::string, NamedAgg> moe_aggs;
-
-    for (const KernelDesc& kd : builder_.buildStep(config)) {
-        const KernelMetrics m = exec_.simulate(kd);
-        switch (kd.stage) {
-          case Stage::Forward:
-            profile.forwardSeconds += m.seconds;
-            break;
-          case Stage::Backward:
-            profile.backwardSeconds += m.seconds;
-            break;
-          case Stage::Optimizer:
-            profile.optimizerSeconds += m.seconds;
-            break;
-        }
-        layer_seconds[kd.layer] += m.seconds;
-        profile.kernelLaunches += kd.count;
-
-        if (kd.layer == LayerClass::MoE) {
-            NamedAgg& agg = moe_aggs[normalizeKernelName(kd.name)];
-            agg.seconds += m.seconds;
-            agg.launches += kd.count;
-            agg.flops += kd.flops * kd.count;
-            agg.bytes += kd.bytes * kd.count;
-            agg.sm_weighted += m.smUtilPct * m.seconds;
-            agg.dram_weighted += m.dramUtilPct * m.seconds;
-        }
-    }
-
-    for (const auto& [layer, seconds] : layer_seconds)
-        profile.byLayer.push_back({layer, seconds});
-    std::sort(profile.byLayer.begin(), profile.byLayer.end(),
-              [](const LayerAggregate& a, const LayerAggregate& b) {
-                  return a.seconds > b.seconds;
-              });
-
-    double moe_total = 0.0;
-    double moe_sm = 0.0;
-    double moe_dram = 0.0;
-    for (const auto& [name, agg] : moe_aggs) {
-        KernelAggregate ka;
-        ka.name = name;
         ka.seconds = agg.seconds;
         ka.launches = agg.launches;
         ka.flops = agg.flops;
@@ -302,16 +215,6 @@ FineTuneSim::stepSeconds(const RunConfig& config) const
                                eval.bytes[i], eval.tiles[i],
                                plan.efficiencies[i], plan.counts[i])
                      .seconds;
-    return total;
-}
-
-double
-FineTuneSim::stepSecondsReference(const RunConfig& config) const
-{
-    ++steps_simulated_;
-    double total = exec_.calibration().stepOverheadMs * 1e-3;
-    for (const KernelDesc& kd : builder_.buildStep(config))
-        total += exec_.simulate(kd).seconds;
     return total;
 }
 

@@ -118,18 +118,6 @@ class FineTuneSim {
         const std::vector<RunConfig>& configs) const;
 
     /**
-     * The retained reference implementation of profileStep: rebuilds
-     * the full `KernelDesc` workload on every call, exactly as the
-     * pre-compiled-plan code did. Bit-identical to profileStep — golden
-     * tests pin the equality, and the perf bench uses it as the
-     * baseline. Counts toward stepsSimulated().
-     */
-    StepProfile profileStepReference(const RunConfig& config) const;
-
-    /** Reference twin of stepSeconds (per-call workload rebuild). */
-    double stepSecondsReference(const RunConfig& config) const;
-
-    /**
      * Queries/second at the given configuration. @p seq_len is the
      * dataset's *median* length; @p length_sigma is the log-normal shape
      * of the length distribution — batches pad every query to the batch
@@ -206,9 +194,6 @@ class FineTuneSim {
     /** Instrumentation only; atomic so const queries stay thread-safe. */
     mutable std::atomic<std::uint64_t> steps_simulated_{0};
 };
-
-// normalizeKernelName moved to gpusim/kernel.hpp (it is a kernel-name
-// utility shared with the plan compiler); still visible via this header.
 
 }  // namespace ftsim
 

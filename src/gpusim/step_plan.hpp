@@ -6,23 +6,24 @@
  * Compiled step plans: the allocation-free representation of one
  * training step's kernel sequence.
  *
- * `WorkloadBuilder::buildStep` materializes a fresh
- * `std::vector<KernelDesc>` — every element carrying a `std::string`
- * name — on every call, so a 1..max_batch throughput sweep rebuilds the
- * identical kernel graph max_batch times. A `StepPlan` is that graph
- * compiled once per (model, config-shape): the batch-independent kernel
- * fields (interned name id, kind, layer class, stage, launch count) live
- * in SoA arrays, and each kernel carries a tiny `KernelFormula` that
- * recomputes only the batch/seq-dependent FLOPs / bytes / tiles terms.
+ * The reference emission (`oracle::buildStep`, src/oracle/)
+ * materializes a fresh `std::vector<KernelDesc>` — every element
+ * carrying a `std::string` name — on every call, so a 1..max_batch
+ * throughput sweep would rebuild the identical kernel graph max_batch
+ * times. A `StepPlan` is that graph compiled once per (model,
+ * config-shape): the batch-independent kernel fields (interned name id,
+ * kind, layer class, stage, launch count) live in SoA arrays, and each
+ * kernel carries a tiny `KernelFormula` that recomputes only the
+ * batch/seq-dependent FLOPs / bytes / tiles terms.
  * `evaluate()` writes into caller-owned reusable buffers, so the
  * simulation hot path performs no heap allocation at all.
  *
  * Bit-identity contract: `KernelFormula::apply` reproduces the exact
  * floating-point expressions (including evaluation order) of the
- * reference emission path in workload.cpp, and both paths share the
- * `ceilDivD` / `paddedRows` / `kActBytes` helpers below. The golden
- * tests in tests/gpusim/test_step_plan.cpp pin the two paths equal to
- * the last bit.
+ * reference emission path in src/oracle/reference.cpp, and both paths
+ * share the `ceilDivD` / `paddedRows` / `kActBytes` helpers below.
+ * The golden tests in tests/gpusim/test_step_plan.cpp pin the two paths
+ * equal to the last bit.
  */
 
 #include <cmath>
@@ -173,7 +174,7 @@ struct SweepBuffers {
 /**
  * One compiled training step: SoA arrays of the batch-independent
  * kernel fields plus one formula per kernel. Kernels appear in the
- * exact order the reference `buildStep` emits them.
+ * exact order the reference `oracle::buildStep` emits them.
  */
 struct StepPlan {
     /** Active experts under the plan's routing mode, as a double. */

@@ -50,14 +50,15 @@ struct RunConfig {
  *
  * Two emission paths produce identical numbers:
  *
- *  - `buildStep` / `buildForward` — the retained *reference* path,
- *    materializing a fresh `std::vector<KernelDesc>` per call. It is
- *    the golden oracle for tests and the pre-optimization baseline the
- *    perf bench compares against.
  *  - `stepPlan` — the compiled path: one `StepPlan` per config shape
  *    (sparse x checkpointing), cached for the builder's lifetime, with
  *    interned kernel names and per-kernel formulas evaluated per
- *    (batch, seq). This is what the simulation hot path uses.
+ *    (batch, seq). This is what the simulator runs.
+ *  - `oracle::buildStep` / `oracle::buildForward` (src/oracle/) — the
+ *    retained *reference* path, materializing a fresh
+ *    `std::vector<KernelDesc>` per call. It is the golden oracle for
+ *    tests and the pre-optimization baseline the perf bench compares
+ *    against; it lives outside the product library.
  *
  * Any change to one path must be mirrored in the other; the golden
  * tests in tests/gpusim/test_step_plan.cpp enforce bit-equality.
@@ -78,12 +79,6 @@ class WorkloadBuilder {
     // Plan slots hold std::once_flag: no copies.
     WorkloadBuilder(const WorkloadBuilder&) = delete;
     WorkloadBuilder& operator=(const WorkloadBuilder&) = delete;
-
-    /** Kernels of a full step: forward + backward + optimizer. */
-    std::vector<KernelDesc> buildStep(const RunConfig& config) const;
-
-    /** Kernels of the forward pass only. */
-    std::vector<KernelDesc> buildForward(const RunConfig& config) const;
 
     /**
      * The compiled plan for @p config's shape. Compiled on first use
@@ -117,43 +112,11 @@ class WorkloadBuilder {
     static constexpr double kDequantOpsPerElement = 20.0;
 
   private:
-    /** Appends the forward kernels of one decoder layer. */
-    void addLayerForward(std::vector<KernelDesc>& out,
-                         const RunConfig& config, Stage stage) const;
-
-    /** Appends backward-only kernels (dX/dW chains) of one layer. */
-    void addLayerBackward(std::vector<KernelDesc>& out,
-                          const RunConfig& config) const;
-
-    /** Appends embedding + LM-head kernels for a stage. */
-    void addHead(std::vector<KernelDesc>& out, const RunConfig& config,
-                 Stage stage) const;
-
-    /** Appends the optimizer-stage kernels. */
-    void addOptimizer(std::vector<KernelDesc>& out) const;
-
-    // -- emission helpers ------------------------------------------------
-
-    /** Emits a GEMM of shape [m, k] x [k, n] (+ optional weight read). */
-    KernelDesc gemm(const char* name, Stage stage, LayerClass layer,
-                    double m, double k, double n, double weight_bytes,
-                    double count) const;
-
-    /** Emits a 4-bit dequant kernel over a [k, n] weight. */
-    KernelDesc dequant(const char* name, Stage stage, LayerClass layer,
-                       double elements, double count) const;
-
-    /** Emits a rowwise kernel (softmax/topk/norm/...). */
-    KernelDesc rowwise(const char* name, KernelKind kind, Stage stage,
-                       LayerClass layer, double rows, double width,
-                       double ops_per_element, double count) const;
-
-    // -- compiled-plan path ----------------------------------------------
-
     /** Compiles the plan for one shape; mirrors the reference path. */
     StepPlan compilePlan(bool sparse, bool checkpointing) const;
 
-    /** Mirrors addLayerForward (names get " (recompute)" suffixed). */
+    /** Mirrors the reference addLayerForward (names get
+     *  " (recompute)" suffixed). */
     void compileLayerForward(StepPlan& plan, Stage stage,
                              bool recompute) const;
 

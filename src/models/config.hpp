@@ -15,21 +15,10 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "models/kinds.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ftsim {
-
-/** Sequence-mixing backbone of a decoder block. */
-enum class BackboneKind : std::uint8_t {
-    Attention,  ///< Causal self-attention (Mixtral-style).
-    Mamba,      ///< Selective state-space layer (BlackMamba-style).
-};
-
-/** Expert feed-forward architecture (Fig. 7 of the paper). */
-enum class ExpertKind : std::uint8_t {
-    SwiGLU,  ///< w2(silu(w1 x) * w3 x) — Mixtral experts.
-    Gelu,    ///< w2(gelu(w1 x)) — BlackMamba experts.
-};
 
 /** Hyper-parameters of a miniature MoE language model. */
 struct MiniModelConfig {

@@ -14,9 +14,10 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
-#include "models/config.hpp"
+#include "models/kinds.hpp"
 
 namespace ftsim {
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/planner.hpp"
+#include "oracle/reference.hpp"
 
 namespace ftsim {
 namespace {
@@ -115,6 +116,21 @@ TEST(Planner, StepProfileIsCachedAcrossQueries)
     EXPECT_EQ(second.stepCacheMisses, 1u);
     EXPECT_EQ(second.stepsSimulated, 1u);
     EXPECT_GE(second.stepCacheHits, first.stepCacheHits + 2);
+
+    // Batches 2, 3, 2 on a fresh planner: two misses, then a hit that
+    // answers bit-identically to the first probe.
+    Planner probe(Scenario::gsMath());
+    Result<StepProfile> two = probe.profileAt(GpuSpec::a40(), 2);
+    ASSERT_TRUE(two.ok());
+    ASSERT_TRUE(probe.profileAt(GpuSpec::a40(), 3).ok());
+    Result<StepProfile> again = probe.profileAt(GpuSpec::a40(), 2);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().stepSeconds, two.value().stepSeconds);
+    EXPECT_EQ(again.value().throughputQps, two.value().throughputQps);
+    const PlannerStats probed = probe.stats();
+    EXPECT_EQ(probed.stepCacheMisses, 2u);
+    EXPECT_EQ(probed.stepCacheHits, 1u);
+    EXPECT_EQ(probed.stepsSimulated, 2u);
 }
 
 TEST(Planner, CostTablePlusReportPerformsNoDuplicateSimulations)
@@ -185,7 +201,7 @@ TEST(Planner, ProfileMatchesReferenceSimulatorBitExact)
     config.batchSize = 4;
     config.seqLen = sim.paddedSeqLen(sc.medianSeqLen, 4, sc.lengthSigma);
     config.sparse = sc.sparse;
-    const StepProfile ref = sim.profileStepReference(config);
+    const StepProfile ref = oracle::profileStep(sim, config);
 
     EXPECT_EQ(p.value().forwardSeconds, ref.forwardSeconds);
     EXPECT_EQ(p.value().backwardSeconds, ref.backwardSeconds);
@@ -300,33 +316,6 @@ TEST(Planner, FitThroughputIsCached)
     EXPECT_DOUBLE_EQ(first.value().model.c4(), second.value().model.c4());
 }
 
-TEST(Planner, ResetStatsStartsAFreshWindow)
-{
-    // Serving stats are per-window deltas: after resetStats() the
-    // counters read zero, cached answers stay cached (hits count in
-    // the new window, no re-simulation), and new configs count from
-    // the reset point.
-    Planner planner(Scenario::gsMath());
-    ASSERT_TRUE(planner.profile(GpuSpec::a40()).ok());
-    ASSERT_TRUE(planner.profileAt(GpuSpec::a40(), 2).ok());
-    PlannerStats warmup = planner.stats();
-    EXPECT_EQ(warmup.stepCacheMisses, 2u);
-    EXPECT_EQ(warmup.stepsSimulated, 2u);
-
-    planner.resetStats();
-    PlannerStats zero = planner.stats();
-    EXPECT_EQ(zero.stepCacheHits, 0u);
-    EXPECT_EQ(zero.stepCacheMisses, 0u);
-    EXPECT_EQ(zero.stepsSimulated, 0u);
-
-    ASSERT_TRUE(planner.profile(GpuSpec::a40()).ok());   // Cached.
-    ASSERT_TRUE(planner.profileAt(GpuSpec::a40(), 3).ok());  // New.
-    PlannerStats window = planner.stats();
-    EXPECT_EQ(window.stepCacheHits, 1u);
-    EXPECT_EQ(window.stepCacheMisses, 1u);
-    EXPECT_EQ(window.stepsSimulated, 1u);
-}
-
 TEST(Planner, SharedRegistryKeepsAnswersBitExact)
 {
     auto registry = std::make_shared<PlanRegistry>();
@@ -348,49 +337,6 @@ TEST(Planner, SharedRegistryKeepsAnswersBitExact)
     ASSERT_TRUE(shared_b.profileAt(GpuSpec::a40(), 4).ok());
     EXPECT_EQ(registry->plansCompiled(), 1u);
     EXPECT_GE(registry->planHits(), 1u);
-}
-
-TEST(Planner, StepCacheShardEvictionRecomputesIdentically)
-{
-    // A capacity-1 shard (setStepCacheCapacity) churns on alternating
-    // configs: every probe is a miss and a fresh simulation, yet the
-    // recomputed profile is bit-identical to the first — the LRU bound
-    // trades recomputation for memory, never correctness.
-    Planner bounded(Scenario::gsMath());
-    bounded.setStepCacheCapacity(1);
-
-    Result<StepProfile> first = bounded.profileAt(GpuSpec::a40(), 1);
-    ASSERT_TRUE(first.ok());
-    Result<StepProfile> other = bounded.profileAt(GpuSpec::a40(), 2);
-    ASSERT_TRUE(other.ok());  // Evicts batch-1's entry.
-    Result<StepProfile> again = bounded.profileAt(GpuSpec::a40(), 1);
-    ASSERT_TRUE(again.ok());  // Recomputes, evicting batch-2's.
-
-    EXPECT_EQ(again.value().stepSeconds, first.value().stepSeconds);
-    EXPECT_EQ(again.value().throughputQps,
-              first.value().throughputQps);
-
-    const PlannerStats stats = bounded.stats();
-    EXPECT_EQ(stats.stepCacheMisses, 3u);  // No hit survived the churn.
-    EXPECT_EQ(stats.stepCacheHits, 0u);
-    EXPECT_EQ(stats.stepsSimulated, 3u);
-    EXPECT_EQ(stats.stepCacheEvictions, 2u);
-
-    // The unbounded default still memoizes: same probes, one recompute
-    // fewer.
-    Planner unbounded(Scenario::gsMath());
-    ASSERT_TRUE(unbounded.profileAt(GpuSpec::a40(), 1).ok());
-    ASSERT_TRUE(unbounded.profileAt(GpuSpec::a40(), 2).ok());
-    ASSERT_TRUE(unbounded.profileAt(GpuSpec::a40(), 1).ok());
-    EXPECT_EQ(unbounded.stats().stepCacheMisses, 2u);
-    EXPECT_EQ(unbounded.stats().stepCacheHits, 1u);
-    EXPECT_EQ(unbounded.stats().stepCacheEvictions, 0u);
-
-    // And the bounded planner's answers match the unbounded one's.
-    EXPECT_EQ(first.value().stepSeconds,
-              unbounded.profileAt(GpuSpec::a40(), 1)
-                  .value()
-                  .stepSeconds);
 }
 
 TEST(Planner, TweakedGpuSpecDoesNotAliasThePreset)

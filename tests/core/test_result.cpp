@@ -7,7 +7,7 @@
 
 #include <string>
 
-#include "core/result.hpp"
+#include "common/result.hpp"
 
 namespace ftsim {
 namespace {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden tests for the compiled-plan path: the StepPlan machinery must
- * reproduce the retained reference path (per-call buildStep) to the
+ * reproduce the retained reference path (`oracle::buildStep`) to the
  * last bit, across both model families, both routing modes, both
  * checkpointing settings, and a grid of batch/sequence shapes. These
  * tests are the enforcement arm of the bit-identity contract in
@@ -16,6 +16,7 @@
 #include "gpusim/finetune_sim.hpp"
 #include "gpusim/step_plan.hpp"
 #include "gpusim/workload.hpp"
+#include "oracle/reference.hpp"
 
 namespace ftsim {
 namespace {
@@ -79,8 +80,8 @@ expectProfilesBitIdentical(const StepProfile& plan, const StepProfile& ref)
 TEST(StepPlan, PlanMirrorsReferenceKernelForKernel)
 {
     // Structural golden test: the compiled plan lists exactly the
-    // kernels buildStep emits — same order, names, tags, counts — and
-    // evaluates to bit-identical flops/bytes/tiles.
+    // kernels oracle::buildStep emits — same order, names, tags,
+    // counts — and evaluates to bit-identical flops/bytes/tiles.
     for (bool mixtral : {true, false}) {
         const ModelSpec spec = mixtral ? ModelSpec::mixtral8x7b()
                                        : ModelSpec::blackMamba2p8b();
@@ -92,7 +93,7 @@ TEST(StepPlan, PlanMirrorsReferenceKernelForKernel)
                     for (std::size_t seq : kSeqLens) {
                         const RunConfig c =
                             config(batch, seq, sparse, ckpt);
-                        const auto ref = builder.buildStep(c);
+                        const auto ref = oracle::buildStep(builder, c);
                         const StepPlan& plan = builder.stepPlan(c);
                         plan.evaluate(batch, seq, eval);
                         ASSERT_EQ(plan.size(), ref.size()) << spec.name;
@@ -136,7 +137,7 @@ TEST(StepPlan, ProfileMatchesReferenceBitForBit)
                             config(batch, seq, sparse, ckpt);
                         expectProfilesBitIdentical(
                             sim.profileStep(c),
-                            sim.profileStepReference(c));
+                            oracle::profileStep(sim, c));
                     }
     }
 }
@@ -147,7 +148,7 @@ TEST(StepPlan, StepSecondsMatchesReferenceBitForBit)
     for (std::size_t batch : kBatches)
         for (std::size_t seq : kSeqLens) {
             const RunConfig c = config(batch, seq, true, -1);
-            EXPECT_EQ(sim.stepSeconds(c), sim.stepSecondsReference(c));
+            EXPECT_EQ(sim.stepSeconds(c), oracle::stepSeconds(sim, c));
         }
 }
 

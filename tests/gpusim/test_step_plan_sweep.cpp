@@ -3,7 +3,7 @@
  * Golden tests for the vectorized sweep path (ISSUE-9): one
  * `StepPlan::evaluateSweep` pass must reproduce per-batch
  * `StepPlan::evaluate`, the per-batch compiled profile path, AND the
- * retained reference emission (`profileStepReference`) to the last
+ * retained reference emission (`oracle::profileStep`) to the last
  * bit, for every batch of every catalog (model, GPU, seq) config.
  * These tests are the enforcement arm of the sweep half of the
  * bit-identity contract in step_plan.hpp.
@@ -20,6 +20,7 @@
 #include "gpusim/finetune_sim.hpp"
 #include "gpusim/step_plan.hpp"
 #include "gpusim/workload.hpp"
+#include "oracle/reference.hpp"
 
 namespace ftsim {
 namespace {
@@ -115,7 +116,7 @@ TEST(StepPlanSweep, EvaluateSweepMatchesEvaluateBitForBit)
 TEST(StepPlanSweep, BatchRangeOverloadMatchesReferenceEmission)
 {
     // The (batch_lo, batch_hi, seq) convenience form against the
-    // reference buildStep oracle: sweep lane j of kernel i must equal
+    // reference oracle::buildStep: sweep lane j of kernel i must equal
     // the KernelDesc the reference path emits at that batch.
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     const StepPlan& plan = builder.stepPlan(config(1, 311, true, -1));
@@ -123,7 +124,8 @@ TEST(StepPlanSweep, BatchRangeOverloadMatchesReferenceEmission)
     plan.evaluateSweep(1, 32, 311, buf);
     ASSERT_EQ(buf.points(), 32u);
     for (std::size_t b = 1; b <= 32; ++b) {
-        const auto ref = builder.buildStep(config(b, 311, true, -1));
+        const auto ref =
+            oracle::buildStep(builder, config(b, 311, true, -1));
         ASSERT_EQ(plan.size(), ref.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
             const std::size_t at = i * buf.points() + (b - 1);
@@ -171,8 +173,8 @@ TEST(StepPlanSweep, ProfileSweepMatchesCompiledAndReferencePaths)
 {
     // The full catalog: every batch of every (model, GPU, seq) sweep
     // config, profiled three ways — vectorized profileSweep, per-batch
-    // compiled profileStep, and the retained profileStepReference
-    // oracle — must agree to the last bit.
+    // compiled profileStep, and the retained oracle::profileStep —
+    // must agree to the last bit.
     for (bool mixtral : {true, false}) {
         const ModelSpec spec = mixtral ? ModelSpec::mixtral8x7b()
                                        : ModelSpec::blackMamba2p8b();
@@ -190,7 +192,7 @@ TEST(StepPlanSweep, ProfileSweepMatchesCompiledAndReferencePaths)
                 expectProfilesBitIdentical(
                     sweep[i], sim.profileStep(configs[i]));
                 expectProfilesBitIdentical(
-                    sweep[i], sim.profileStepReference(configs[i]));
+                    sweep[i], oracle::profileStep(sim, configs[i]));
             }
         }
     }
@@ -250,14 +252,14 @@ TEST(StepPlanSweep, PlannerObservationsMatchPerBatchProfiles)
     EXPECT_EQ(after_sweep.stepCacheMisses, obs.value().size());
     EXPECT_EQ(after_sweep.stepsSimulated, after_sweep.stepCacheMisses);
 
-    FineTuneSim oracle(Scenario::gsMath().model, gpu,
-                       Scenario::gsMath().calibration);
-    const std::vector<RunConfig> jobs = oracle.sweepConfigs(
+    FineTuneSim sim(Scenario::gsMath().model, gpu,
+                    Scenario::gsMath().calibration);
+    const std::vector<RunConfig> jobs = sim.sweepConfigs(
         Scenario::gsMath().medianSeqLen, Scenario::gsMath().lengthSigma);
     ASSERT_EQ(jobs.size(), obs.value().size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(obs.value()[i].qps,
-                  oracle.profileStepReference(jobs[i]).throughputQps)
+                  oracle::profileStep(sim, jobs[i]).throughputQps)
             << "batch " << jobs[i].batchSize;
     }
 

@@ -11,6 +11,7 @@
 
 #include "common/logging.hpp"
 #include "gpusim/workload.hpp"
+#include "oracle/reference.hpp"
 
 namespace ftsim {
 namespace {
@@ -37,7 +38,7 @@ kernelNames(const std::vector<KernelDesc>& kernels)
 TEST(Workload, MixtralForwardContainsPaperKernels)
 {
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
-    auto names = kernelNames(builder.buildForward(config()));
+    auto names = kernelNames(oracle::buildForward(builder, config()));
     // Fig. 6 (Mixtral): matmuls, dequants, softmax, topk, router.
     for (const char* expected :
          {"matmul(w1)", "matmul(w2)", "matmul(w3)", "w1_dequant",
@@ -51,7 +52,7 @@ TEST(Workload, MixtralForwardContainsPaperKernels)
 TEST(Workload, BlackMambaForwardContainsPaperKernels)
 {
     WorkloadBuilder builder(ModelSpec::blackMamba2p8b());
-    auto names = kernelNames(builder.buildForward(config()));
+    auto names = kernelNames(oracle::buildForward(builder, config()));
     // Fig. 6 (Mamba): matmul(w1), gelu, matmul(w2), elementwise_mult,
     // top_k, sigmoid, matmul(router) — plus the mamba-layer kernels.
     for (const char* expected :
@@ -82,16 +83,16 @@ TEST(Workload, CheckpointingAddsRecomputeKernels)
     RunConfig with = config();
     RunConfig without = config();
     without.gradientCheckpointing = 0;
-    auto names = kernelNames(builder.buildStep(with));
+    auto names = kernelNames(oracle::buildStep(builder, with));
     EXPECT_TRUE(names.count("matmul(w1) (recompute)"));
-    auto names2 = kernelNames(builder.buildStep(without));
+    auto names2 = kernelNames(oracle::buildStep(builder, without));
     EXPECT_FALSE(names2.count("matmul(w1) (recompute)"));
 }
 
 TEST(Workload, StepHasAllThreeStages)
 {
     WorkloadBuilder builder(ModelSpec::blackMamba2p8b());
-    auto kernels = builder.buildStep(config());
+    auto kernels = oracle::buildStep(builder, config());
     bool fwd = false, bwd = false, opt = false;
     for (const auto& k : kernels) {
         fwd |= k.stage == Stage::Forward;
@@ -107,7 +108,8 @@ TEST(Workload, ExpertFlopsScaleWithSparsity)
 {
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     auto find_flops = [&](bool sparse) {
-        for (const auto& k : builder.buildForward(config(1, 128, sparse)))
+        for (const auto& k :
+             oracle::buildForward(builder, config(1, 128, sparse)))
             if (k.name == "matmul(w1)")
                 return k.flops * k.count;
         return 0.0;
@@ -123,7 +125,7 @@ TEST(Workload, DequantTrafficIsBatchIndependent)
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     auto dequant_bytes = [&](std::size_t batch) {
         double total = 0.0;
-        for (const auto& k : builder.buildForward(config(batch)))
+        for (const auto& k : oracle::buildForward(builder, config(batch)))
             if (k.kind == KernelKind::Dequant)
                 total += k.bytes * k.count;
         return total;
@@ -136,7 +138,7 @@ TEST(Workload, MatmulFlopsScaleLinearlyWithBatch)
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     auto total_matmul_flops = [&](std::size_t batch) {
         double total = 0.0;
-        for (const auto& k : builder.buildForward(config(batch)))
+        for (const auto& k : oracle::buildForward(builder, config(batch)))
             if (k.kind == KernelKind::MatMul)
                 total += k.flops * k.count;
         return total;
@@ -148,7 +150,7 @@ TEST(Workload, AttentionFlopsScaleQuadraticallyWithSeq)
 {
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     auto attn_flops = [&](std::size_t seq) {
-        for (const auto& k : builder.buildForward(config(1, seq)))
+        for (const auto& k : oracle::buildForward(builder, config(1, seq)))
             if (k.name == "attention(flash)")
                 return k.flops;
         return 0.0;
@@ -164,7 +166,7 @@ TEST(Workload, OptimizerWorkTracksTrainableParams)
     auto optimizer_bytes = [](const WorkloadBuilder& b) {
         double total = 0.0;
         RunConfig c;
-        for (const auto& k : b.buildStep(c))
+        for (const auto& k : oracle::buildStep(b, c))
             if (k.stage == Stage::Optimizer)
                 total += k.bytes * k.count;
         return total;
@@ -178,7 +180,7 @@ TEST(Workload, FullFtBackwardDoublesGemmFlops)
 {
     WorkloadBuilder builder(ModelSpec::blackMamba2p8b());
     double fwd = 0.0, bwd = 0.0;
-    for (const auto& k : builder.buildStep(config())) {
+    for (const auto& k : oracle::buildStep(builder, config())) {
         if (k.name == "matmul(w1)")
             fwd += k.flops * k.count;
         if (k.name == "matmul(w1_bwd)")
@@ -193,7 +195,7 @@ TEST(Workload, ScanTilesScaleWithBatchNotSeq)
     // serial. Tiles must grow with batch and stay flat with seq.
     WorkloadBuilder builder(ModelSpec::blackMamba2p8b());
     auto scan_tiles = [&](std::size_t batch, std::size_t seq) {
-        for (const auto& k : builder.buildForward(config(batch, seq)))
+        for (const auto& k : oracle::buildForward(builder, config(batch, seq)))
             if (k.name == "selective_scan")
                 return k.tiles;
         return 0.0;
@@ -207,7 +209,7 @@ TEST(Workload, ZeroConfigIsFatal)
     WorkloadBuilder builder(ModelSpec::mixtral8x7b());
     RunConfig bad;
     bad.batchSize = 0;
-    EXPECT_THROW(builder.buildForward(bad), FatalError);
+    EXPECT_THROW(oracle::buildForward(builder, bad), FatalError);
 }
 
 }  // namespace

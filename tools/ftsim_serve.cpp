@@ -32,7 +32,7 @@
  * which lets CI assert "this request file is answered with zero
  * protocol errors" by just running the binary.
  *
- * Usage: ftsim_serve [requests.jsonl|-] [workers]
+ * Usage: ftsim_serve [requests.jsonl|-]
  *                    [--workers N] [--max-answers N] [--max-planners N]
  *                    [--tenant-inflight N] [--tenant-rps X]
  *                    [--tenant-burst X] [--max-tenants N]
@@ -57,7 +57,7 @@ namespace {
 usage(const std::string& problem)
 {
     std::cerr << "ftsim_serve: " << problem << "\n"
-              << "usage: ftsim_serve [requests.jsonl|-] [workers]\n"
+              << "usage: ftsim_serve [requests.jsonl|-]\n"
               << "                   [--workers N] [--max-answers N]\n"
               << "                   [--max-planners N]"
                  " [--tenant-inflight N]\n"
@@ -126,13 +126,10 @@ main(int argc, char** argv)
         else
             positional.push_back(arg);
     }
+    if (positional.size() > 1)
+        usage("too many positional arguments");
     if (!positional.empty())
         path = positional[0];
-    if (positional.size() > 1)  // Legacy: ftsim_serve FILE WORKERS.
-        config.workers = static_cast<unsigned>(
-            numberArg("workers", positional[1].c_str()));
-    if (positional.size() > 2)
-        usage("too many positional arguments");
 
     std::ifstream file;
     if (path != "-") {
